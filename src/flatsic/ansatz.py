@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import CVec, Dim, _as_dim, _carray, _displacement_overlap
+from .weyl import CVec, Dim, _as_dim, _carray, autocorrelation, overlap_rows
 
 __all__ = [
     "AnsatzVector",
@@ -109,33 +109,6 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     )
 
 
-def _ansatz_from_phases(dim: Dim, phases: np.ndarray, ghost: bool = False) -> AnsatzVector:
-    """Internal constructor from explicit first-half phases (exact values).
-
-    The second half is forced by v_{d-j} = -conj(v_j); angles are recovered
-    for serialization.
-    """
-    d = dim.d
-    half = (d - 1) // 2
-    s = math.sqrt(d + 1.0)
-    x0 = -2.0 + s if ghost else -2.0 - s
-    v = np.empty(d - 1, dtype=np.complex128)
-    v[:half] = phases[:half]
-    v[half:] = -np.conj(v[half - 1 :: -1])
-    ang = np.angle(v[:half])
-    ang.setflags(write=False)
-    v.setflags(write=False)
-    return AnsatzVector(
-        dim=dim,
-        x0=x0,
-        angles=ang,
-        phases=v,
-        sqrt_x0=complex(cmath.sqrt(complex(x0))),
-        norm_sq=1.0 / (d - 1.0 - x0),
-        ghost=ghost,
-    )
-
-
 def to_vform(av: AnsatzVector) -> CVec:
     """The v-form vector (sqrt(x0), v_1, ..., v_{d-1})."""
     w = np.concatenate(([av.sqrt_x0], av.phases))
@@ -208,9 +181,8 @@ def z_overlap_residual(psi: CVec) -> float:
     satisfies this identically, whatever the free angles.
     """
     unit, _ = _unit_components(psi)
-    d = unit.shape[0]
-    s = math.sqrt(d + 1.0)
-    vals = d * np.fft.ifft(np.abs(unit) ** 2)  # vals[k] = sum_r omega^{kr} |psi_r|^2
+    s = math.sqrt(unit.shape[0] + 1.0)
+    vals = overlap_rows(unit, [0])[0]  # row j = 0: <Psi|Z^k|Psi>
     return float(np.max(np.abs(s * vals[1:] - 1.0)))
 
 
@@ -229,12 +201,9 @@ def x_overlap_deviations(psi: CVec) -> np.ndarray:
             "degenerate zero component: psi_j = 0 for some j != 0"
         )
     s = math.sqrt(d + 1.0)
-    devs = np.empty(d - 1)
-    for j in range(1, d):
-        lhs = s * np.vdot(unit, np.roll(unit, (-2 * j) % d))
-        rhs = unit[j] ** 2 / abs(unit[j]) ** 2
-        devs[j - 1] = abs(lhs - rhs)
-    return devs
+    lhs = s * autocorrelation(unit)[(2 * np.arange(1, d)) % d]
+    rhs = unit[1:] ** 2 / np.abs(unit[1:]) ** 2
+    return np.abs(lhs - rhs)
 
 
 def x_overlap_residual(psi: CVec) -> float:
@@ -253,11 +222,8 @@ def vform_x_overlap_deviations(vec: CVec) -> np.ndarray:
     w = vec.components
     d = w.shape[0]
     s = math.sqrt(d + 1.0)
-    devs = np.empty(d - 1)
-    for j in range(1, d):
-        lhs = np.vdot(w, np.roll(w, (-2 * j) % d))
-        devs[j - 1] = abs(lhs - (s + 1.0) * w[j] ** 2)
-    return devs
+    lhs = autocorrelation(w)[(2 * np.arange(1, d)) % d]  # <v|X^{-2j}|v>
+    return np.abs(lhs - (s + 1.0) * w[1:] ** 2)
 
 
 @dataclass(frozen=True)
@@ -283,12 +249,10 @@ def displacement_row_identity(psi, j: int) -> IdentityReport:
     d = arr.shape[0]
     if d % 2 == 0:
         raise ValueError(f"the row identity requires odd dimension, got d={d}")
-    m = (-2 * j) % d
-    lhs = 0j
-    for k in range(d):  # k = 0 contributes the bare <Psi|X^{-2j}|Psi> term
-        lhs += _displacement_overlap(arr, m, k)
+    # k = 0 contributes the bare <Psi|X^{-2j}|Psi> term
+    lhs = complex(np.sum(overlap_rows(arr, [-2 * j])))
     rhs = d * np.conj(arr[(-j) % d]) * arr[j % d]
-    return IdentityReport(j=j % d, lhs=complex(lhs), rhs=complex(rhs), deviation=abs(lhs - rhs))
+    return IdentityReport(j=j % d, lhs=lhs, rhs=complex(rhs), deviation=abs(lhs - rhs))
 
 
 def ansatz_to_json(av: AnsatzVector) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -22,7 +23,6 @@ from .ansatz import (
     build_ansatz,
     displacement_row_identity,
     to_normalized,
-    to_vform,
     x_overlap_deviations,
     x_overlap_residual,
     z_overlap_residual,
@@ -31,8 +31,10 @@ from .polysys import build_system, export_system, system_manifest
 from .search import SearchConfig, canonical_match, minimize, search_results_json
 from .vectorio import VectorFileError, dump_vector, parse_vector_file
 from .verify import (
+    _gik_gaps,
+    _table_csv,
     gik_residual,
-    gik_table_csv,
+    gik_table,
     is_sic,
     naive_x_residual,
     overlap_table,
@@ -171,12 +173,16 @@ def _cmd_xoverlap(args, rep: _Reporter) -> int:
 def _cmd_gik(args, rep: _Reporter) -> int:
     vec = _load_vector(args.file)
     rep.kv("d", vec.dim.d)
-    rep.kv("gik_residual", rep.num(gik_residual(vec)))
-    if args.csv:
-        if args.table == "overlap":
+    if args.csv and args.table == "gik":
+        # one G table gives both the residual and the CSV
+        table = gik_table(vec)
+        rep.kv("gik_residual", rep.num(np.abs(_gik_gaps(np.arange(vec.dim.d), table)).max()))
+        text = _table_csv(table, "i\\k", args.moduli)
+    else:
+        rep.kv("gik_residual", rep.num(gik_residual(vec)))
+        if args.csv:
             text = overlap_table_csv(overlap_table(vec), moduli_only=args.moduli)
-        else:
-            text = gik_table_csv(vec, moduli_only=args.moduli)
+    if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
         rep.kv("csv", args.csv)
     return 0
@@ -196,21 +202,12 @@ def _cmd_prop1(args, rep: _Reporter) -> int:
 def _cmd_perron(args, rep: _Reporter) -> int:
     rows = []
     ok = True
-    for p in legendre_mod.primes_3mod4(args.pmax):
+    for p, table in legendre_mod.legendre_sweep(args.pmax, legendre_mod.perron_table):
         expected = ((p + 1) // 4, (p + 1) // 4, (p + 1) // 4, (p - 3) // 4)
-        seen = set()
-        for a in range(1, p):
-            c = legendre_mod.perron_counts(p, a)
-            counts = (
-                c.reste_from_reste,
-                c.nichtreste_from_reste,
-                c.reste_from_nichtreste,
-                c.nichtreste_from_nichtreste,
-            )
-            rows.append((p, a) + counts)
-            seen.add(counts)
-            if counts != expected:
-                ok = False
+        records = [dataclasses.astuple(c) for c in table]  # (p, a, *counts)
+        rows += records
+        seen = {r[2:] for r in records}
+        ok &= seen == {expected}
         shown = seen.pop() if len(seen) == 1 else expected
         rep.kv(
             f"p{p}_counts",
@@ -221,16 +218,7 @@ def _cmd_perron(args, rep: _Reporter) -> int:
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "p",
-                "a",
-                "reste_from_reste",
-                "nichtreste_from_reste",
-                "reste_from_nichtreste",
-                "nichtreste_from_nichtreste",
-            ]
-        )
+        writer.writerow([f.name for f in dataclasses.fields(legendre_mod.PerronCounts)])
         writer.writerows(rows)
         Path(args.csv).write_text(buf.getvalue(), encoding="utf-8")
         rep.kv("csv", args.csv)
@@ -240,19 +228,9 @@ def _cmd_perron(args, rep: _Reporter) -> int:
 def _cmd_lemma1(args, rep: _Reporter) -> int:
     worst = 0.0
     worst_p = None
-    for p in legendre_mod.primes_3mod4(args.pmax):
-        dim = make_dimension(p)
-        for sign in (+1, -1):
-            vec = legendre_mod.build_legendre_vector(dim, sign)
-            w = to_vform(vec.ansatz).components
-            for j in range(1, p):
-                direct = complex(np.vdot(w, np.roll(w, (-2 * j) % p)))
-                closed = legendre_mod.lemma1_closed_form(
-                    dim, vec.x1, legendre_mod.legendre_symbol(j, p) == 1
-                )
-                dev = abs(direct - closed)
-                if dev > worst:
-                    worst, worst_p = dev, p
+    for p, dev in legendre_mod.legendre_sweep(args.pmax, legendre_mod.lemma1_deviation):
+        if dev > worst:
+            worst, worst_p = dev, p
     rep.kv("pmax", args.pmax)
     rep.kv("max_deviation", rep.num(worst))
     rep.kv("worst_p", worst_p if worst_p is not None else "none")

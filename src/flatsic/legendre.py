@@ -22,13 +22,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify
-from .ansatz import AnsatzVector, _ansatz_from_phases, to_normalized, x_overlap_residual
-from .weyl import Dim, _as_dim, is_prime
+from .ansatz import AnsatzVector, build_ansatz, to_normalized, to_vform, x_overlap_residual
+from .weyl import Dim, _as_dim, autocorrelation, is_prime, make_dimension
 
 __all__ = [
     "PerronCounts",
@@ -44,6 +45,9 @@ __all__ = [
     "classification_csv_header",
     "classification_csv_row",
     "primes_3mod4",
+    "lemma1_deviation",
+    "perron_table",
+    "legendre_sweep",
 ]
 
 
@@ -99,7 +103,7 @@ class PerronCounts:
     nichtreste_from_nichtreste: int
 
 
-def perron_counts(p: int, a: int) -> PerronCounts:
+def perron_counts(p: Dim | int, a: int) -> PerronCounts:
     """Count residue classes of shifted Reste/Nichtreste by enumeration."""
     dim = _require_3mod4_prime(p)
     p = dim.d
@@ -164,7 +168,7 @@ def build_legendre_vector(dim: Dim | int, beta_sign: int = +1) -> LegendreVector
     half = (d - 1) // 2
     signs = _residue_signs(d)
     phases = np.where(signs[1 : half + 1] > 0, x1, -1.0 / x1)
-    av = _ansatz_from_phases(dim, phases)
+    av = build_ansatz(dim, np.angle(phases))
     return LegendreVector(dim=dim, x1=x1, beta_sign=beta_sign, ansatz=av)
 
 
@@ -254,3 +258,32 @@ def classification_csv_row(c: LegendreClassification) -> str:
         f"{c.dim.d},{c.dim.mod8},{c.x_overlap_residual:.17g},"
         f"{c.sic_residual:.17g},{c.verdict}"
     )
+
+
+def lemma1_deviation(dim: Dim | int) -> float:
+    """max over both beta branches and j = 1..p-1 of |<v|X^{-2j}|v> minus
+    lemma1_closed_form|, the direct side read from one autocorrelation per
+    branch and the closed form evaluated once per residue class."""
+    dim = _require_3mod4_prime(dim)
+    p = dim.d
+    residue = _residue_signs(p)[1:] > 0
+    worst = 0.0
+    for sign in (+1, -1):
+        vec = build_legendre_vector(dim, sign)
+        direct = autocorrelation(to_vform(vec.ansatz).components)[(2 * np.arange(1, p)) % p]
+        on_residues = lemma1_closed_form(dim, vec.x1, True)
+        closed = np.where(residue, on_residues, lemma1_closed_form(dim, vec.x1, False))
+        worst = max(worst, float(np.max(np.abs(direct - closed))))
+    return worst
+
+
+def perron_table(dim: Dim | int) -> list[PerronCounts]:
+    """perron_counts for every shift a = 1..p-1."""
+    dim = _require_3mod4_prime(dim)
+    return [perron_counts(dim, a) for a in range(1, dim.d)]
+
+
+def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int, object]]:
+    """(p, check(p)) for every prime p <= pmax with p = 3 mod 4, ascending;
+    check is a per-prime function such as lemma1_deviation or perron_table."""
+    return [(p, check(make_dimension(p))) for p in primes_3mod4(pmax)]

@@ -10,14 +10,21 @@ could execute in any order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .ansatz import as_normalized, build_ansatz, to_normalized, to_vform, z_shift
-from .weyl import CVec, Dim, _as_dim
+from .ansatz import (
+    as_normalized,
+    build_ansatz,
+    to_normalized,
+    to_vform,
+    vform_x_overlap_deviations,
+    z_shift,
+)
+from .verify import _gik_gaps, _naive_x_gaps
+from .weyl import CVec, Dim, _as_dim, gik_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -73,11 +80,6 @@ class SearchResult:
     converged: bool
 
 
-def _lags(arr: np.ndarray) -> np.ndarray:
-    """Circular correlation c[m] = sum_k conj(arr_k) arr_{k+m} for all lags."""
-    return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
-
-
 def objective(config: SearchConfig, angles) -> float:
     """Evaluate the configured objective at a set of free angles.
 
@@ -85,30 +87,14 @@ def objective(config: SearchConfig, angles) -> float:
     condition holds identically and only the X-side structure is penalized.
     """
     av = build_ansatz(config.dim, angles)
-    d = config.dim.d
     if config.objective == "xoverlap":
-        w = to_vform(av).components
-        s = math.sqrt(d + 1.0)
-        c = _lags(w)
-        res = c[(2 * np.arange(1, d)) % d] - (s + 1.0) * w[1:] ** 2
-        return float(np.sum(np.abs(res) ** 2))
+        return float(np.sum(vform_x_overlap_deviations(to_vform(av)) ** 2))
     psi = to_normalized(av).components
     if config.objective == "naive_x":
-        c = _lags(psi)
-        vals = np.abs(c[(-np.arange(1, d)) % d]) ** 2  # |<Psi|X^j|Psi>|^2
-        return float(np.sum((vals - 1.0 / (d + 1.0)) ** 2))
-    # sic: all d^2 quartic conditions, rows evaluated through the transform
-    # side so a full objective costs O(d^2 log d)
-    total = 0.0
-    target = np.zeros((d, d))
-    target[0, :] += 1.0
-    target[:, 0] += 1.0
-    target /= d + 1.0
-    for i in range(d):
-        mi = d * np.fft.ifft(np.conj(psi) * np.roll(psi, i))
-        gi = np.fft.ifft(np.abs(mi) ** 2)
-        total += float(np.sum(np.abs(gi - target[i]) ** 2))
-    return total
+        return float(np.sum(_naive_x_gaps(psi) ** 2))
+    # sic: all d^2 quartic conditions from one batched G table, O(d^2 log d)
+    rows = np.arange(config.dim.d)
+    return float(np.sum(np.abs(_gik_gaps(rows, gik_rows(psi, rows))) ** 2))
 
 
 def _central_diff_grad(f, x: np.ndarray, step: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import _unit_components
-from .weyl import CVec, Dim, _carray, apply_displacement, inner_product
+from .weyl import CVec, Dim, _carray, autocorrelation, gik_rows, overlap_rows
 
 __all__ = [
     "OverlapTable",
@@ -36,6 +36,10 @@ __all__ = [
     "overlap_table_csv",
     "gik_table_csv",
 ]
+
+# Rows per kernel call in _scan, so that its memory stays O(_BLOCK_ROWS * d)
+# however large d is.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -53,26 +57,42 @@ def overlap_table(psi: CVec) -> OverlapTable:
     (0,0) is always 1 up to rounding.
     """
     unit, _ = _unit_components(psi)
-    d = psi.dim.d
-    vec = CVec(psi.dim, unit, "normalized")
-    entries = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        for k in range(d):
-            entries[j, k] = inner_product(vec, apply_displacement(vec, j, k))
+    entries = overlap_rows(unit, np.arange(psi.dim.d))
     entries.setflags(write=False)
     return OverlapTable(psi.dim, entries)
 
 
-def _sic_deviations(table: OverlapTable) -> np.ndarray:
-    d = table.dim.d
-    dev = np.abs(np.abs(table.entries) ** 2 - 1.0 / (d + 1.0))
-    dev[0, 0] = 0.0
-    return dev
+def _gik_gaps(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1) for the rows i of g."""
+    target = np.zeros(g.shape)
+    target[:, 0] = 1.0
+    target[rows == 0] += 1.0
+    return g - target / (g.shape[1] + 1.0)
+
+
+def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
+    """Reduce the overlap and G tables block by block: the largest
+    | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0), its first (j,k)
+    in row-major order, and the largest |G(i,k) - target|."""
+    d = unit.shape[0]
+    maxima, pairs, gik = [], [], []
+    for start in range(0, d, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, d))
+        dev = np.abs(np.abs(overlap_rows(unit, rows)) ** 2 - 1.0 / (d + 1.0))
+        if start == 0:
+            dev[0, 0] = 0.0
+        flat = int(np.argmax(dev))
+        maxima.append(dev.flat[flat])
+        pairs.append((start + flat // d, flat % d))
+        gik.append(np.abs(_gik_gaps(rows, gik_rows(unit, rows))).max())
+    worst = int(np.argmax(maxima))
+    return float(maxima[worst]), pairs[worst], float(np.max(gik))
 
 
 def sic_residual(psi: CVec) -> float:
     """max over (j,k) != (0,0) of | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) |."""
-    return float(_sic_deviations(overlap_table(psi)).max())
+    unit, _ = _unit_components(psi)
+    return _scan(unit)[0]
 
 
 def gik_quartic(psi, i: int, k: int) -> complex:
@@ -113,27 +133,17 @@ def gik_fourier(psi, i: int, k: int) -> complex:
 def gik_residual(psi: CVec) -> float:
     """max over all (i,k) of |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|.
 
-    The input is normalized internally.  All d^2 pairs are evaluated even
-    though the target has symmetry; simplicity wins at desk scale.
+    The input is normalized internally.  All d^2 pairs are evaluated, block
+    by block, even though the target has symmetry.
     """
     unit, _ = _unit_components(psi)
-    d = unit.shape[0]
-    worst = 0.0
-    for i in range(d):
-        for k in range(d):
-            target = ((i == 0) + (k == 0)) / (d + 1.0)
-            worst = max(worst, abs(gik_quartic(unit, i, k) - target))
-    return worst
+    return _scan(unit)[2]
 
 
 def gik_table(psi: CVec) -> np.ndarray:
     """The full d x d table of G(i,k) values for the normalized vector."""
     unit, _ = _unit_components(psi)
-    d = unit.shape[0]
-    table = np.empty((d, d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            table[i, k] = gik_quartic(unit, i, k)
+    table = gik_rows(unit, np.arange(unit.shape[0]))
     table.setflags(write=False)
     return table
 
@@ -145,12 +155,13 @@ def naive_x_residual(psi: CVec) -> float:
     condition than the X-overlap equation.
     """
     unit, _ = _unit_components(psi)
+    return float(np.max(np.abs(_naive_x_gaps(unit))))
+
+
+def _naive_x_gaps(unit: np.ndarray) -> np.ndarray:
+    """|<Psi|X^j|Psi>|^2 - 1/(d+1) for j = 1..d-1."""
     d = unit.shape[0]
-    worst = 0.0
-    for j in range(1, d):
-        ov = np.vdot(unit, np.roll(unit, j))
-        worst = max(worst, abs(abs(ov) ** 2 - 1.0 / (d + 1.0)))
-    return worst
+    return np.abs(autocorrelation(unit)[(-np.arange(1, d)) % d]) ** 2 - 1.0 / (d + 1.0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,8 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     """Decide the SIC property from the overlap moduli.
 
     tol defaults to 1e-9 * d.  The decision uses the squared-modulus
-    deviations only; the quartic residual is reported alongside.
+    deviations only; the quartic residual is reported alongside.  Both are
+    reduced block by block, so memory stays O(d) in the dimension.
     """
     d = psi.dim.d
     if tol is None:
@@ -181,14 +193,12 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     unit, nrm = _unit_components(psi)
-    uvec = CVec(psi.dim, unit, "normalized")
-    dev = _sic_deviations(overlap_table(uvec))
-    worst = int(np.argmax(dev))
+    worst, pair, gik = _scan(unit)
     return SicReport(
-        max_modulus_deviation=float(dev.max()),
-        worst_pair=(worst // d, worst % d),
-        gik_max_deviation=gik_residual(uvec),
-        is_sic=bool(dev.max() <= tol),
+        max_modulus_deviation=worst,
+        worst_pair=pair,
+        gik_max_deviation=gik,
+        is_sic=bool(worst <= tol),
         tolerance_used=float(tol),
         input_norm=nrm,
     )
@@ -198,32 +208,26 @@ def _complex_cell(z: complex) -> str:
     return f"{z.real:.17g},{z.imag:.17g}"
 
 
-def overlap_table_csv(table: OverlapTable, moduli_only: bool = False) -> str:
-    """CSV rendering: row index j, column index k, cells "re,im" (or moduli)."""
+def _table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:
+    """CSV rendering of a square table: header row of column indices, then
+    one row per row index with cells "re,im" (or moduli)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    d = table.dim.d
-    writer.writerow(["j\\k"] + [str(k) for k in range(d)])
-    for j in range(d):
+    writer.writerow([corner] + [str(k) for k in range(entries.shape[1])])
+    for row, values in enumerate(entries):
         if moduli_only:
-            cells = [f"{abs(z):.17g}" for z in table.entries[j]]
+            cells = [f"{abs(z):.17g}" for z in values]
         else:
-            cells = [_complex_cell(z) for z in table.entries[j]]
-        writer.writerow([str(j)] + cells)
+            cells = [_complex_cell(z) for z in values]
+        writer.writerow([str(row)] + cells)
     return buf.getvalue()
+
+
+def overlap_table_csv(table: OverlapTable, moduli_only: bool = False) -> str:
+    """CSV rendering: row index j, column index k, cells "re,im" (or moduli)."""
+    return _table_csv(table.entries, "j\\k", moduli_only)
 
 
 def gik_table_csv(psi: CVec, moduli_only: bool = False) -> str:
     """CSV rendering of the G(i,k) table: row index i, column index k."""
-    table = gik_table(psi)
-    d = psi.dim.d
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i\\k"] + [str(k) for k in range(d)])
-    for i in range(d):
-        if moduli_only:
-            cells = [f"{abs(z):.17g}" for z in table[i]]
-        else:
-            cells = [_complex_cell(z) for z in table[i]]
-        writer.writerow([str(i)] + cells)
-    return buf.getvalue()
+    return _table_csv(gik_table(psi), "i\\k", moduli_only)

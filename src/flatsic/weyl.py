@@ -183,28 +183,19 @@ def _carray(psi) -> np.ndarray:
     return arr
 
 
-def _displacement_components(arr: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Components of D_{j,k} arr for a raw array; indices reduced mod d."""
-    d = arr.shape[0]
-    j %= d
-    k %= d
-    r = np.arange(d)
-    phases = np.exp(2j * np.pi * ((k * ((r - j) % d)) % d) / d)
-    return tau_power(d, j * k) * phases * np.roll(arr, j)
-
-
-def _displacement_overlap(arr: np.ndarray, j: int, k: int) -> complex:
-    """<arr| D_{j,k} |arr> for a raw array."""
-    return complex(np.vdot(arr, _displacement_components(arr, j, k)))
-
-
 def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     """Apply D_{j,k} = tau^{jk} X^j Z^k without materializing a matrix.
 
     Component r of the result is tau^{jk} omega^{k(r-j)} psi_{r-j} with all
     indices mod d.  Norm-preserving; the form tag is carried through.
     """
-    return CVec(psi.dim, _displacement_components(psi.components, j, k), psi.form)
+    d = psi.dim.d
+    j %= d
+    k %= d
+    r = np.arange(d)
+    phases = np.exp(2j * np.pi * ((k * ((r - j) % d)) % d) / d)
+    out = tau_power(d, j * k) * phases * np.roll(psi.components, j)
+    return CVec(psi.dim, out, psi.form)
 
 
 def inner_product(phi: CVec, psi: CVec) -> complex:
@@ -222,3 +213,41 @@ def dft(psi: CVec) -> CVec:
     d = psi.dim.d
     out = math.sqrt(d) * np.fft.ifft(psi.components)
     return CVec(psi.dim, out, psi.form)
+
+
+# Spectral kernel.  Every displacement-overlap quantity of the package is read
+# from the three functions below; apply_displacement and inner_product stay
+# as the entry-by-entry definitions the tests compare against.
+
+
+def autocorrelation(arr) -> np.ndarray:
+    """Circular correlation c[m] = sum_k conj(arr_k) arr_{k+m} for all lags m,
+    so that <Psi|X^{-m}|Psi> is c[m]."""
+    return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
+
+
+def overlap_rows(psi, rows) -> np.ndarray:
+    """<psi|D_{j,k}|psi> for every j in rows and every k, shape (len(rows), d).
+
+    With a_j = conj(psi) * X^j psi, row j is d * ifft(a_j) times
+    tau^{jk} omega^{-jk} = tau^{-jk}, the exponent reduced mod 2d as in
+    tau_power.  No normalization is applied.
+    """
+    arr = _carray(psi)
+    d = arr.shape[0]
+    r = np.arange(d)
+    j = np.asarray(rows, dtype=np.int64)[:, None] % d
+    a = np.conj(arr) * arr[(r - j) % d]
+    m = (-j * r) % (2 * d)
+    phase = np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
+    return d * np.fft.ifft(a) * phase
+
+
+def gik_rows(psi, rows) -> np.ndarray:
+    """G(i,k) for every i in rows and every k, shape (len(rows), d).
+
+    Row i is (1/d) sum_j omega^{kj} |<psi|D_{i,j}|psi>|^2 (the identity
+    gik_fourier evaluates), the inverse FFT of the squared moduli of overlap
+    row i.  No normalization is applied.
+    """
+    return np.fft.ifft(np.abs(overlap_rows(psi, rows)) ** 2)

@@ -1,0 +1,204 @@
+"""The spectral overlap kernel against entry-by-entry oracles.
+
+Every table and residual below comes from the batched FFT kernel in
+flatsic.weyl; the expected values are built here from apply_displacement,
+inner_product, gik_quartic and np.roll/np.vdot loops, none of which calls the
+kernel.  The input vector is normalized here too, without flatsic's form
+conversions.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from helpers import random_complex, random_unit
+from numpy.testing import assert_allclose
+
+from flatsic import (
+    SearchConfig,
+    apply_displacement,
+    build_ansatz,
+    build_legendre_vector,
+    cvec,
+    gik_quartic,
+    gik_residual,
+    gik_table,
+    inner_product,
+    is_sic,
+    legendre_symbol,
+    lemma1_closed_form,
+    make_dimension,
+    naive_x_residual,
+    objective,
+    overlap_table,
+    sic_residual,
+    to_normalized,
+    to_rescaled,
+    to_vform,
+    vform_x_overlap_deviations,
+    x_overlap_deviations,
+    x_overlap_residual,
+)
+from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
+
+TOL = 1e-12
+
+
+def _inputs(d):
+    rng = np.random.default_rng(700 + d)
+    cases = [("random", random_unit(rng, d))]
+    if d % 2:
+        av = build_ansatz(d, rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2))
+        cases += [
+            ("normalized", to_normalized(av)),
+            ("v-form", to_vform(av)),
+            ("rescaled", to_rescaled(av)),
+        ]
+    else:
+        cases.append(("scaled", cvec(3.0 * random_complex(rng, d), "v-form")))
+    return cases
+
+
+ALL = [pytest.param(v, id=f"d{v.d}-{name}") for d in (7, 12, 45) for name, v in _inputs(d)]
+ODD = [p for p in ALL if p.values[0].d % 2]
+
+
+def _unit(vec) -> np.ndarray:
+    """Unit components: a rescaled vector is first divided by its purely
+    imaginary sqrt(x0)."""
+    arr = vec.components
+    if vec.form == "rescaled":
+        arr = arr / (1j * math.sqrt(-arr[0].real))
+    return arr / np.linalg.norm(arr)
+
+
+def _oracle_overlaps(unit: np.ndarray) -> np.ndarray:
+    psi = cvec(unit)
+    d = unit.shape[0]
+    return np.array(
+        [[inner_product(psi, apply_displacement(psi, j, k)) for k in range(d)] for j in range(d)]
+    )
+
+
+def _oracle_gik(unit: np.ndarray) -> np.ndarray:
+    d = unit.shape[0]
+    return np.array([[gik_quartic(unit, i, k) for k in range(d)] for i in range(d)])
+
+
+def _gik_target(d: int) -> np.ndarray:
+    target = np.zeros((d, d))
+    target[0, :] += 1.0
+    target[:, 0] += 1.0
+    return target / (d + 1.0)
+
+
+def _sic_deviations(table: np.ndarray) -> np.ndarray:
+    d = table.shape[0]
+    dev = np.abs(np.abs(table) ** 2 - 1.0 / (d + 1.0))
+    dev[0, 0] = 0.0
+    return dev
+
+
+@pytest.mark.parametrize("vec", ALL)
+def test_overlap_table_matches_displacement_oracle(vec):
+    expect = _oracle_overlaps(_unit(vec))
+    assert_allclose(overlap_table(vec).entries, expect, rtol=0, atol=TOL)
+    assert sic_residual(vec) == pytest.approx(_sic_deviations(expect).max(), abs=TOL)
+
+
+@pytest.mark.parametrize("vec", ALL)
+def test_gik_table_matches_quartic_oracle(vec):
+    expect = _oracle_gik(_unit(vec))
+    assert_allclose(gik_table(vec), expect, rtol=0, atol=TOL)
+    residual = np.abs(expect - _gik_target(vec.d)).max()
+    assert gik_residual(vec) == pytest.approx(residual, abs=TOL)
+
+
+@pytest.mark.parametrize("vec", ODD)
+def test_x_overlap_deviations_match_roll_loop(vec):
+    u = _unit(vec)
+    d = vec.d
+    s = math.sqrt(d + 1.0)
+    expect = [
+        abs(s * np.vdot(u, np.roll(u, (-2 * j) % d)) - u[j] ** 2 / abs(u[j]) ** 2)
+        for j in range(1, d)
+    ]
+    assert_allclose(x_overlap_deviations(vec), expect, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("vec", ODD)
+def test_vform_x_overlap_deviations_match_roll_loop(vec):
+    w = vec.components
+    d = vec.d
+    s = math.sqrt(d + 1.0)
+    expect = [
+        abs(np.vdot(w, np.roll(w, (-2 * j) % d)) - (s + 1.0) * w[j] ** 2) for j in range(1, d)
+    ]
+    assert_allclose(vform_x_overlap_deviations(vec), expect, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("vec", ODD)
+def test_naive_x_residual_matches_roll_loop(vec):
+    u = _unit(vec)
+    d = vec.d
+    expect = max(
+        abs(abs(np.vdot(u, np.roll(u, j))) ** 2 - 1.0 / (d + 1.0)) for j in range(1, d)
+    )
+    assert naive_x_residual(vec) == pytest.approx(expect, abs=TOL)
+
+
+@pytest.mark.parametrize("d", [7, 45])
+def test_sic_objective_matches_quartic_sum(d):
+    rng = np.random.default_rng(900 + d)
+    cfg = SearchConfig(dim=make_dimension(d), objective="sic", seed=0)
+    for _ in range(3):
+        angles = rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2)
+        unit = _unit(to_vform(build_ansatz(d, angles)))
+        expect = np.sum(np.abs(_oracle_gik(unit) - _gik_target(d)) ** 2)
+        assert objective(cfg, angles) == pytest.approx(expect, abs=TOL)
+
+
+def test_block_reductions_match_oracle_tables():
+    # d = 131 spans several row blocks of the block-wise reductions
+    u = random_complex(np.random.default_rng(131), 131)
+    vec = cvec(u / np.linalg.norm(u))
+    dev = _sic_deviations(_oracle_overlaps(vec.components))
+    report = is_sic(vec)
+    assert report.max_modulus_deviation == pytest.approx(dev.max(), abs=TOL)
+    assert dev[report.worst_pair] == pytest.approx(dev.max(), abs=TOL)
+    residual = np.abs(_oracle_gik(vec.components) - _gik_target(131)).max()
+    assert report.gik_max_deviation == pytest.approx(residual, abs=TOL)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_d499_legendre_is_sic_check(sign):
+    d = 499
+    psi = to_normalized(build_legendre_vector(d, sign).ansatz)
+    start = time.perf_counter()
+    report = is_sic(psi)
+    elapsed = time.perf_counter() - start
+    assert not report.is_sic
+    assert report.max_modulus_deviation > 1e-3
+    assert x_overlap_residual(psi) < 1e-9 * d
+    assert elapsed < 2.0
+
+
+def test_lemma1_deviation_matches_roll_loop():
+    for p, got in legendre_sweep(43, lemma1_deviation):
+        expect = 0.0
+        for sign in (+1, -1):
+            vec = build_legendre_vector(p, sign)
+            w = to_vform(vec.ansatz).components
+            for j in range(1, p):
+                closed = lemma1_closed_form(p, vec.x1, legendre_symbol(j, p) == 1)
+                expect = max(expect, abs(np.vdot(w, np.roll(w, (-2 * j) % p)) - closed))
+        assert got == pytest.approx(expect, abs=TOL)
+        assert got < 1e-9
+
+
+def test_perron_sweep_covers_every_shift():
+    sweep = legendre_sweep(23, perron_table)
+    assert [p for p, _ in sweep] == [3, 7, 11, 19, 23]
+    for p, table in sweep:
+        assert [c.a for c in table] == list(range(1, p))
