@@ -28,13 +28,11 @@ from .ansatz import (
     z_overlap_residual,
 )
 from .polysys import build_system, export_system, system_manifest
-from .search import SearchConfig, canonical_match, minimize, search_results_json
+from .search import OBJECTIVES, SearchConfig, canonical_match, minimize, search_results_json
 from .vectorio import VectorFileError, dump_vector, parse_vector_file
 from .verify import (
-    _gik_gaps,
-    _table_csv,
     gik_residual,
-    gik_table,
+    gik_table_csv,
     is_sic,
     naive_x_residual,
     overlap_table,
@@ -129,9 +127,8 @@ def _cmd_ansatz_build(args, rep: _Reporter) -> int:
 
 def _cmd_verify(args, rep: _Reporter) -> int:
     vec = _load_vector(args.file)
-    d = vec.dim.d
-    tol = args.tol if args.tol is not None else 1e-9 * d
-    rep.kv("d", d)
+    report = is_sic(vec, args.tol)
+    rep.kv("d", vec.dim.d)
     rep.kv("form", vec.form)
     rep.kv("z_overlap_residual", rep.num(z_overlap_residual(vec)))
     x_res: float | None
@@ -146,12 +143,11 @@ def _cmd_verify(args, rep: _Reporter) -> int:
         x_res = None
         rep.kv("x_overlap_residual", "nan", label="x_overlap_residual (even d)")
     rep.kv("naive_x_residual", rep.num(naive_x_residual(vec)))
-    report = is_sic(vec, tol)
     rep.kv("sic_residual", rep.num(report.max_modulus_deviation))
     rep.kv("gik_residual", rep.num(report.gik_max_deviation))
     rep.kv("worst_pair", f"{report.worst_pair[0]},{report.worst_pair[1]}")
-    rep.kv("tolerance", rep.num(tol))
-    x_verdict = "PASS" if (x_res is not None and x_res <= tol) else "FAIL"
+    rep.kv("tolerance", rep.num(report.tolerance_used))
+    x_verdict = "PASS" if (x_res is not None and x_res <= report.tolerance_used) else "FAIL"
     sic_verdict = "PASS" if report.is_sic else "FAIL"
     rep.kv("x_overlap_verdict", x_verdict.lower())
     rep.kv("sic_verdict", sic_verdict.lower())
@@ -173,16 +169,12 @@ def _cmd_xoverlap(args, rep: _Reporter) -> int:
 def _cmd_gik(args, rep: _Reporter) -> int:
     vec = _load_vector(args.file)
     rep.kv("d", vec.dim.d)
-    if args.csv and args.table == "gik":
-        # one G table gives both the residual and the CSV
-        table = gik_table(vec)
-        rep.kv("gik_residual", rep.num(np.abs(_gik_gaps(np.arange(vec.dim.d), table)).max()))
-        text = _table_csv(table, "i\\k", args.moduli)
-    else:
-        rep.kv("gik_residual", rep.num(gik_residual(vec)))
-        if args.csv:
-            text = overlap_table_csv(overlap_table(vec), moduli_only=args.moduli)
+    rep.kv("gik_residual", rep.num(gik_residual(vec)))
     if args.csv:
+        if args.table == "gik":
+            text = gik_table_csv(vec, moduli_only=args.moduli)
+        else:
+            text = overlap_table_csv(overlap_table(vec), moduli_only=args.moduli)
         Path(args.csv).write_text(text, encoding="utf-8")
         rep.kv("csv", args.csv)
     return 0
@@ -226,6 +218,8 @@ def _cmd_perron(args, rep: _Reporter) -> int:
 
 
 def _cmd_lemma1(args, rep: _Reporter) -> int:
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     worst = 0.0
     worst_p = None
     for p, dev in legendre_mod.legendre_sweep(args.pmax, legendre_mod.lemma1_deviation):
@@ -264,7 +258,6 @@ def _cmd_search(args, rep: _Reporter) -> int:
         seed=args.seed,
         restarts=args.restarts,
         max_iterations=args.max_iterations,
-        gradient_step=args.gradient_step,
         convergence_threshold=args.threshold,
     )
     best, results = minimize(config)
@@ -366,12 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="multistart search over the free angles")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--objective", choices=["xoverlap", "sic", "naive_x"], required=True)
+    p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--restarts", type=int, required=True)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--gradient-step", type=float, default=1e-6)
-    p.add_argument("--threshold", type=float, default=1e-16)
+    p.add_argument("--max-iterations", type=int, default=SearchConfig.max_iterations)
+    p.add_argument("--threshold", type=float, default=SearchConfig.convergence_threshold)
     p.add_argument("--out", help="write all results as JSON")
     p.set_defaults(handler=_cmd_search)
 

@@ -229,24 +229,24 @@ class LegendreClassification:
 
 
 def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClassification:
-    """Evaluate X-overlap and SIC residuals of both Legendre branches."""
+    """Evaluate X-overlap and SIC residuals of both Legendre branches; the
+    SIC verdicts and the tolerance are those of verify.is_sic."""
     dim = _require_3mod4_prime(dim)
-    if tol is None:
-        tol = 1e-9 * dim.d
     reports = []
     for sign in (+1, -1):
         psi = to_normalized(build_legendre_vector(dim, sign).ansatz)
-        xres = x_overlap_residual(psi)
-        sres = verify.sic_residual(psi)
+        sic = verify.is_sic(psi, tol)
         reports.append(
             BranchReport(
                 beta_sign=sign,
-                x_overlap_residual=xres,
-                sic_residual=sres,
-                is_sic=bool(sres <= tol),
+                x_overlap_residual=x_overlap_residual(psi),
+                sic_residual=sic.max_modulus_deviation,
+                is_sic=sic.is_sic,
             )
         )
-    return LegendreClassification(dim=dim, branches=tuple(reports), tolerance=float(tol))
+    return LegendreClassification(
+        dim=dim, branches=tuple(reports), tolerance=sic.tolerance_used
+    )
 
 
 def classification_csv_header() -> str:

@@ -23,7 +23,7 @@ from .ansatz import (
     vform_x_overlap_deviations,
     z_shift,
 )
-from .verify import _gik_gaps, _naive_x_gaps
+from .verify import _check_tolerance, _gik_gaps, _naive_x_gaps
 from .weyl import CVec, Dim, _as_dim, gik_rows
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 
 OBJECTIVES = ("xoverlap", "sic", "naive_x")
 
+_GRADIENT_STEP = 1e-6  # central-difference step of the gradients fed to the minimizer
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -48,7 +50,6 @@ class SearchConfig:
     seed: int
     restarts: int = 1
     max_iterations: int = 500
-    gradient_step: float = 1e-6
     convergence_threshold: float = 1e-16
 
     def __post_init__(self) -> None:
@@ -65,8 +66,6 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        if self.gradient_step <= 0:
-            raise ValueError("gradient step must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,14 @@ def objective(config: SearchConfig, angles) -> float:
     return float(np.sum(np.abs(_gik_gaps(rows, gik_rows(psi, rows))) ** 2))
 
 
-def _central_diff_grad(f, x: np.ndarray, step: float) -> np.ndarray:
+def _central_diff_grad(f, x: np.ndarray) -> np.ndarray:
     g = np.empty(x.size)
     for i in range(x.size):
         xp = x.copy()
-        xp[i] += step
+        xp[i] += _GRADIENT_STEP
         xm = x.copy()
-        xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2.0 * step)
+        xm[i] -= _GRADIENT_STEP
+        g[i] = (f(xp) - f(xm)) / (2.0 * _GRADIENT_STEP)
     return g
 
 
@@ -122,9 +121,6 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
     def f(a):
         return objective(config, a)
 
-    def grad(a):
-        return _central_diff_grad(f, np.asarray(a, dtype=float), config.gradient_step)
-
     results = []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
@@ -132,7 +128,7 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
         res = _scipy_minimize(
             f,
             start,
-            jac=grad,
+            jac=lambda a: _central_diff_grad(f, a),
             method="L-BFGS-B",
             options={
                 "maxiter": config.max_iterations,
@@ -158,8 +154,10 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     """True when some clock shift Z^k of a equals b up to a global phase.
 
     The phase is fixed per shift by aligning the first non-negligible
-    component of b; distance is the Euclidean norm of the difference.
+    component of b; distance is the Euclidean norm of the difference.  tol
+    must satisfy 0 < tol < inf, or a ValueError is raised.
     """
+    tol = _check_tolerance(tol)
     if a.dim.d != b.dim.d:
         raise ValueError(f"dimension mismatch: {a.dim.d} vs {b.dim.d}")
     ua = as_normalized(a)
@@ -189,7 +187,6 @@ def search_results_json(config: SearchConfig, results: list[SearchResult]) -> st
             "seed": config.seed,
             "restarts": config.restarts,
             "max_iterations": config.max_iterations,
-            "gradient_step": config.gradient_step,
             "convergence_threshold": config.convergence_threshold,
         },
         "results": [

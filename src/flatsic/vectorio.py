@@ -64,8 +64,15 @@ def parse_vector_file(text: str) -> CVec:
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
             raise VectorFileError(f"component {i} is not a [re, im] number pair")
-        values.append(complex(pair[0], pair[1]))
+        try:
+            values.append(complex(pair[0], pair[1]))
+        except OverflowError:  # an integer beyond the float range
+            values.append(complex(np.inf))
     arr = np.asarray(values, dtype=np.complex128)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise VectorFileError(f"component {i} is not finite", invariant="finite-components")
     _check_form(d, form, arr)
     try:
         return cvec(arr, form)

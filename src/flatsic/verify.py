@@ -183,15 +183,11 @@ class SicReport:
 def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     """Decide the SIC property from the overlap moduli.
 
-    tol defaults to 1e-9 * d.  The decision uses the squared-modulus
-    deviations only; the quartic residual is reported alongside.  Both are
-    reduced block by block, so memory stays O(d) in the dimension.
+    tol defaults to 1e-9 * d and must lie in (0, inf).  The decision uses the
+    squared-modulus deviations only; the quartic residual is reported
+    alongside.  Both are reduced block by block, so memory stays O(d).
     """
-    d = psi.dim.d
-    if tol is None:
-        tol = 1e-9 * d
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _check_tolerance(1e-9 * psi.dim.d if tol is None else tol)
     unit, nrm = _unit_components(psi)
     worst, pair, gik = _scan(unit)
     return SicReport(
@@ -199,9 +195,15 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
         worst_pair=pair,
         gik_max_deviation=gik,
         is_sic=bool(worst <= tol),
-        tolerance_used=float(tol),
+        tolerance_used=tol,
         input_norm=nrm,
     )
+
+
+def _check_tolerance(tol: float) -> float:
+    if not 0.0 < tol < np.inf:  # false for NaN too
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return float(tol)
 
 
 def _complex_cell(z: complex) -> str:

@@ -6,9 +6,16 @@ import json
 
 import numpy as np
 import pytest
-from helpers import d7_solution, normalize_rescaled
+from helpers import d7_solution, normalize_rescaled, random_unit
 
-from flatsic import dump_vector, parse_vector_file
+from flatsic import (
+    dump_vector,
+    gik_residual,
+    gik_table_csv,
+    overlap_table,
+    overlap_table_csv,
+    parse_vector_file,
+)
 from flatsic.cli import main
 
 
@@ -153,6 +160,25 @@ class TestGikProp1:
         rows = list(csv.reader(open(csv_path)))
         assert float(rows[1][2]) == pytest.approx(1 / np.sqrt(8.0), abs=1e-12)
 
+    @pytest.mark.parametrize("table", ["gik", "overlap"])
+    @pytest.mark.parametrize("d", [7, 131])  # d = 131 spans three blocks of the scan
+    def test_gik_matches_library(self, capsys, tmp_path, d, table):
+        vec_path = tmp_path / "v.json"
+        vec_path.write_text(dump_vector(random_unit(np.random.default_rng(d), d)))
+        vec = parse_vector_file(vec_path.read_text())
+        csv_path = tmp_path / "t.csv"
+        code, out, _ = run(
+            capsys, "--porcelain", "gik", str(vec_path), "--table", table,
+            "--csv", str(csv_path),
+        )
+        assert code == 0
+        assert porcelain_dict(out)["gik_residual"] == f"{gik_residual(vec):.15g}"
+        if table == "gik":
+            expected = gik_table_csv(vec)
+        else:
+            expected = overlap_table_csv(overlap_table(vec))
+        assert csv_path.read_bytes() == expected.encode()
+
     def test_prop1(self, capsys, d7_file):
         code, out, _ = run(capsys, "--porcelain", "prop1", d7_file, "--j", "2")
         assert code == 0
@@ -243,6 +269,18 @@ class TestSearchMatch:
         assert payload["config"]["seed"] == 42
         assert len(payload["results"]) == 5
 
+    def test_search_out_echoes_config_defaults(self, capsys, tmp_path):
+        out_path = tmp_path / "res.json"
+        code, _, _ = run(
+            capsys, "search", "--d", "5", "--objective", "naive_x", "--seed", "1",
+            "--restarts", "1", "--out", str(out_path),
+        )
+        assert code == 0
+        config = json.loads(out_path.read_text())["config"]
+        assert config["max_iterations"] == 500
+        assert config["convergence_threshold"] == 1e-16
+        assert "gradient_step" not in config
+
     def test_search_deterministic_output(self, capsys):
         code1, out1, _ = run(
             capsys, "--porcelain", "search", "--d", "5", "--objective", "xoverlap",
@@ -286,6 +324,31 @@ class TestErrors:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2
         assert "normalized-norm" in err
+
+    def test_non_finite_component_file(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"d": 3, "form": "normalized", '
+            '"components": [[NaN, 0.0], [0.7071067812, 0.0], [-0.7071067812, 0.0]]}'
+        )
+        code, out, err = run(capsys, "--porcelain", "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "finite-components" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["verify", "legendre", "lemma1", "match"])
+    def test_bad_tolerance(self, capsys, d7_file, command, tol):
+        argv = {
+            "verify": ["verify", d7_file],
+            "legendre": ["legendre", "--d", "7"],
+            "lemma1": ["lemma1", "--pmax", "31"],
+            "match": ["match", d7_file, d7_file],
+        }[command]
+        code, out, err = run(capsys, "--porcelain", *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "fourier")[0] == 2

@@ -13,6 +13,7 @@ from flatsic import (
     classification_csv_header,
     classification_csv_row,
     classify_legendre,
+    is_sic,
     legendre_symbol,
     legendre_x1,
     lemma1_closed_form,
@@ -246,6 +247,21 @@ class TestClassify:
         assert c.verdict == "not-sic"
         assert c.x_overlap_residual < 1e-10
         assert c.sic_residual > 0.01
+
+    @pytest.mark.parametrize("p", [7, 23, 67])
+    def test_verdicts_are_is_sic(self, p):
+        c = classify_legendre(p)
+        for branch in c.branches:
+            psi = to_normalized(build_legendre_vector(p, branch.beta_sign).ansatz)
+            report = is_sic(psi)
+            assert branch.sic_residual == report.max_modulus_deviation
+            assert branch.is_sic == report.is_sic
+            assert c.tolerance == report.tolerance_used
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            classify_legendre(7, tol=tol)
 
     def test_csv_row(self):
         c = classify_legendre(11)

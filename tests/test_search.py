@@ -48,6 +48,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(7, convergence_threshold=0.0)
 
+    def test_no_gradient_step_setting(self):
+        with pytest.raises(TypeError):
+            config(7, gradient_step=1e-6)
+
 
 class TestObjective:
     def test_nonnegative(self):
@@ -188,6 +192,12 @@ class TestCanonicalMatch:
         a = normalize_rescaled(d7_solution(-1))
         b = normalize_rescaled(d7_solution(+1))
         assert not canonical_match(a, b, tol=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_tolerance(self, tol):
+        psi = normalize_rescaled(d7_solution(-1))
+        with pytest.raises(ValueError, match="tolerance"):
+            canonical_match(psi, psi, tol=tol)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,16 @@ class TestParse:
         with pytest.raises(VectorFileError, match="number pair"):
             parse_vector_file(text)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_component(self, bad):
+        text = (
+            '{"d": 3, "form": "normalized", "components": '
+            f'[[0.0, {bad}], [0.7071067812, 0.0], [-0.7071067812, 0.0]]}}'
+        )
+        with pytest.raises(VectorFileError, match="finite-components") as info:
+            parse_vector_file(text)
+        assert info.value.invariant == "finite-components"
+
     def test_unknown_form(self):
         text = file_text(2, "flat", [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(VectorFileError, match="form"):

@@ -202,6 +202,11 @@ class TestIsSic:
         with pytest.raises(ValueError):
             is_sic(D3_FIDUCIAL, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_sic(D3_FIDUCIAL, tol=tol)
+
     def test_d199_small_component_solution(self):
         # the order-9-symmetric small-component point at d=199: solves the
         # X-overlap equation but is not a SIC fiducial
