@@ -60,6 +60,7 @@ from .search import (
     canonical_match,
     minimize,
     objective,
+    objective_and_gradient,
     search_results_json,
 )
 from .vectorio import VectorFileError, dump_vector, parse_vector_file

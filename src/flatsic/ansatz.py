@@ -219,11 +219,14 @@ def vform_x_overlap_deviations(vec: CVec) -> np.ndarray:
     sqrt(d+1)+1.
     """
     _require_odd(vec.dim, "the X-overlap equation")
-    w = vec.components
+    return np.abs(_vform_x_gaps(vec.components))
+
+
+def _vform_x_gaps(w: np.ndarray) -> np.ndarray:
+    """<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2 for j = 1..d-1 (odd d)."""
     d = w.shape[0]
     s = math.sqrt(d + 1.0)
-    lhs = autocorrelation(w)[(2 * np.arange(1, d)) % d]  # <v|X^{-2j}|v>
-    return np.abs(lhs - (s + 1.0) * w[1:] ** 2)
+    return autocorrelation(w)[(2 * np.arange(1, d)) % d] - (s + 1.0) * w[1:] ** 2
 
 
 @dataclass(frozen=True)

@@ -2,44 +2,45 @@
 
 Objectives are sums of squared residuals of the X-overlap equation (on the
 v-form), of the quartic SIC conditions, or of the naive shift-modulus
-conditions.  Every restart draws its starting point from a generator seeded
-by (seed, restart_index), so runs are reproducible bit for bit and restarts
-could execute in any order.
+conditions.  Each comes with its exact gradient in the free angles
+(objective_and_gradient), which the quasi-Newton minimizer uses; no finite
+differences are taken.  Every restart draws its starting point from a
+generator seeded by (seed, restart_index), so runs are reproducible bit for
+bit and restarts could execute in any order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .ansatz import (
+    _vform_x_gaps,
     as_normalized,
     build_ansatz,
     to_normalized,
     to_vform,
-    vform_x_overlap_deviations,
     z_shift,
 )
-from .verify import _check_tolerance, _gik_gaps, _naive_x_gaps
-from .weyl import CVec, Dim, _as_dim, gik_rows
+from .verify import _check_tolerance, _naive_x_gaps
+from .weyl import CVec, Dim, _as_dim, _row_phases, autocorrelation, overlap_rows
 
 __all__ = [
     "OBJECTIVES",
     "SearchConfig",
     "SearchResult",
     "objective",
+    "objective_and_gradient",
     "minimize",
     "canonical_match",
     "search_results_json",
 ]
 
 OBJECTIVES = ("xoverlap", "sic", "naive_x")
-
-_GRADIENT_STEP = 1e-6  # central-difference step of the gradients fed to the minimizer
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -64,8 +65,13 @@ class SearchConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.convergence_threshold <= 0:
-            raise ValueError("convergence threshold must be positive")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not 0.0 < self.convergence_threshold < np.inf:  # false for NaN too
+            raise ValueError(
+                "convergence threshold must be positive and finite, "
+                f"got {self.convergence_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -79,32 +85,64 @@ class SearchResult:
     converged: bool
 
 
-def objective(config: SearchConfig, angles) -> float:
-    """Evaluate the configured objective at a set of free angles.
+def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndarray]:
+    """The configured objective at a set of free angles and its exact gradient
+    with respect to those angles, from one pass over the kernel quantities.
 
     All three objectives go through build_ansatz, so the clock-overlap
     condition holds identically and only the X-side structure is penalized.
+    Each is first differentiated by conj(w_k) for the vector w it reads (the
+    v-form for xoverlap, the unit vector otherwise; its norm is the same at
+    every angle), then chained to the angles by _angle_gradient.
     """
     av = build_ansatz(config.dim, angles)
+    d = config.dim.d
     if config.objective == "xoverlap":
-        return float(np.sum(vform_x_overlap_deviations(to_vform(av)) ** 2))
-    psi = to_normalized(av).components
+        w = to_vform(av).components
+        gaps = _vform_x_gaps(w)  # gap j sits at lag 2j
+        lagged = np.zeros(d, dtype=np.complex128)
+        lagged[(2 * np.arange(1, d)) % d] = gaps
+        grad = _lag_adjoint(w, lagged)
+        grad[1:] -= 2.0 * (math.sqrt(d + 1.0) + 1.0) * np.conj(w[1:]) * gaps
+        return float(np.sum(np.abs(gaps) ** 2)), _angle_gradient(w, grad)
+    w = to_normalized(av).components
     if config.objective == "naive_x":
-        return float(np.sum(_naive_x_gaps(psi) ** 2))
-    # sic: all d^2 quartic conditions from one batched G table, O(d^2 log d)
-    rows = np.arange(config.dim.d)
-    return float(np.sum(np.abs(_gik_gaps(rows, gik_rows(psi, rows))) ** 2))
+        c = autocorrelation(w)
+        gaps = _naive_x_gaps(c)
+        return float(np.sum(gaps**2)), _angle_gradient(w, _lag_adjoint(w, 2.0 * gaps * c))
+    # sic: by Parseval over k, sum_ik |G(i,k) - target|^2 = (1/d) sum_ij E_ij^2 with
+    # E_ij = |O_ij|^2 - t_ij, O the overlap table, t_00 = 1 and t_ij = 1/(d+1)
+    # elsewhere.  (D_ij w)_q = tau^{-ij} omega^{jq} w_{q-i}, so the gradient
+    # (4/d) sum_ij E_ij conj(O_ij) (D_ij w)_q is one inverse FFT per row.
+    table = overlap_rows(w, np.arange(d))
+    rows = np.arange(d)[:, None]
+    target = np.full((d, d), 1.0 / (d + 1.0))
+    target[0, 0] = 1.0
+    gaps = np.abs(table) ** 2 - target
+    spectra = np.fft.ifft(gaps * np.conj(table) * _row_phases(d, rows), axis=1)
+    grad = 4.0 * np.sum(w[(rows.T - rows) % d] * spectra, axis=0)
+    return float(np.sum(gaps**2) / d), _angle_gradient(w, grad)
 
 
-def _central_diff_grad(f, x: np.ndarray) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += _GRADIENT_STEP
-        xm = x.copy()
-        xm[i] -= _GRADIENT_STEP
-        g[i] = (f(xp) - f(xm)) / (2.0 * _GRADIENT_STEP)
-    return g
+def _lag_adjoint(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """g_k = sum_m r_m w_{k-m} + sum_m conj(r_m) w_{k+m}, one convolution and
+    one correlation: the conj(w_k) derivative of sum_m conj(r_m) c_m + c.c.
+    with r held fixed, where c is the autocorrelation of w."""
+    rf = np.fft.fft(r)
+    return np.fft.ifft((rf + np.conj(rf)) * np.fft.fft(w))
+
+
+def _angle_gradient(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Chain a gradient grad_k = df/dconj(w_k) of a real f through
+    w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..(d-1)/2."""
+    j = np.arange(1, (w.shape[0] + 1) // 2)
+    return 2.0 * (np.imag(np.conj(grad[-j]) * w[-j]) - np.imag(np.conj(grad[j]) * w[j]))
+
+
+def objective(config: SearchConfig, angles) -> float:
+    """The configured objective at a set of free angles: the value that
+    objective_and_gradient returns."""
+    return objective_and_gradient(config, angles)[0]
 
 
 def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
@@ -112,14 +150,14 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
 
     Each restart starts from angles drawn uniformly on [0, 2 pi) by a
     generator seeded with (seed, restart_index) and runs a quasi-Newton
-    minimizer fed with central finite-difference gradients.  Results are
-    sorted by (objective_value, restart_index); non-convergent restarts are
-    kept, flagged converged=False.
+    minimizer fed with the exact gradients of objective_and_gradient.
+    Results are sorted by (objective_value, restart_index); non-convergent
+    restarts are kept, flagged converged=False.
     """
     half = (config.dim.d - 1) // 2
 
     def f(a):
-        return objective(config, a)
+        return objective_and_gradient(config, a)
 
     results = []
     for r in range(config.restarts):
@@ -128,7 +166,7 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
         res = _scipy_minimize(
             f,
             start,
-            jac=lambda a: _central_diff_grad(f, a),
+            jac=True,
             method="L-BFGS-B",
             options={
                 "maxiter": config.max_iterations,

@@ -61,7 +61,7 @@ def parse_vector_file(text: str) -> CVec:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise VectorFileError(f"component {i} is not a [re, im] number pair")
         try:

@@ -155,13 +155,15 @@ def naive_x_residual(psi: CVec) -> float:
     condition than the X-overlap equation.
     """
     unit, _ = _unit_components(psi)
-    return float(np.max(np.abs(_naive_x_gaps(unit))))
+    return float(np.max(np.abs(_naive_x_gaps(autocorrelation(unit)))))
 
 
-def _naive_x_gaps(unit: np.ndarray) -> np.ndarray:
-    """|<Psi|X^j|Psi>|^2 - 1/(d+1) for j = 1..d-1."""
-    d = unit.shape[0]
-    return np.abs(autocorrelation(unit)[(-np.arange(1, d)) % d]) ** 2 - 1.0 / (d + 1.0)
+def _naive_x_gaps(c: np.ndarray) -> np.ndarray:
+    """|c_m|^2 - 1/(d+1) at every lag m of an autocorrelation c, lag 0 set
+    to 0; at lag m = -j this is |<Psi|X^j|Psi>|^2 - 1/(d+1)."""
+    gaps = np.abs(c) ** 2 - 1.0 / (c.shape[0] + 1.0)
+    gaps[0] = 0.0
+    return gaps
 
 
 @dataclass(frozen=True)

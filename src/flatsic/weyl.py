@@ -238,9 +238,14 @@ def overlap_rows(psi, rows) -> np.ndarray:
     r = np.arange(d)
     j = np.asarray(rows, dtype=np.int64)[:, None] % d
     a = np.conj(arr) * arr[(r - j) % d]
-    m = (-j * r) % (2 * d)
-    phase = np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
-    return d * np.fft.ifft(a) * phase
+    return d * np.fft.ifft(a) * _row_phases(d, j)
+
+
+def _row_phases(d: int, j: np.ndarray) -> np.ndarray:
+    """tau^{-jk} for each row j of a column array and every k, the phase
+    that turns d * ifft(conj(psi) * X^j psi) into overlap row j."""
+    m = (-j * np.arange(d)) % (2 * d)
+    return np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
 
 
 def gik_rows(psi, rows) -> np.ndarray:

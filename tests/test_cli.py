@@ -292,6 +292,35 @@ class TestSearchMatch:
         )
         assert (code1, out1) == (code2, out2)
 
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    def test_search_out_file_reproducible(self, capsys, tmp_path, obj):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, _ = run(
+                capsys, "search", "--d", "11", "--objective", obj, "--seed", "3",
+                "--restarts", "4", "--out", str(path),
+            )
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--threshold", "nan", "convergence threshold"),
+            ("--threshold", "inf", "convergence threshold"),
+            ("--max-iterations", "0", "max_iterations"),
+            ("--max-iterations", "-1", "max_iterations"),
+        ],
+    )
+    def test_search_rejects_bad_settings(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "--porcelain", "search", "--d", "7", "--objective", "xoverlap",
+            "--seed", "1", "--restarts", "1", flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_match(self, capsys, tmp_path, d7_file):
         other = tmp_path / "other.json"
         other.write_text(dump_vector(normalize_rescaled(d7_solution(+1))))
@@ -335,6 +364,16 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "finite-components" in err
+
+    def test_boolean_component_file(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text(
+            '{"d": 2, "form": "normalized", "components": [[true, false], [false, false]]}'
+        )
+        code, out, err = run(capsys, "--porcelain", "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "number pair" in err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command", ["verify", "legendre", "lemma1", "match"])

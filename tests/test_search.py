@@ -15,6 +15,7 @@ from flatsic import (
     make_dimension,
     minimize,
     objective,
+    objective_and_gradient,
     search_results_json,
     sic_residual,
     to_normalized,
@@ -47,6 +48,20 @@ class TestConfig:
             config(7, seed=-1)
         with pytest.raises(ValueError):
             config(7, convergence_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("convergence_threshold", float("nan")),
+            ("convergence_threshold", float("inf")),
+            ("convergence_threshold", -float("inf")),
+            ("max_iterations", 0),
+            ("max_iterations", -1),
+        ],
+    )
+    def test_rejects_non_finite_threshold_and_iteration_cap_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            config(7, **{field: value})
 
     def test_no_gradient_step_setting(self):
         with pytest.raises(TypeError):
@@ -121,6 +136,55 @@ class TestObjective:
 
         psi = to_normalized(build_ansatz(7, angles))
         assert is_sic(psi, tol=1e-7).is_sic
+
+
+def central_difference(cfg, angles, step=1e-6):
+    """The oracle for objective_and_gradient: one central difference per angle."""
+    grad = np.empty(angles.size)
+    for i in range(angles.size):
+        e = np.zeros(angles.size)
+        e[i] = step
+        grad[i] = (objective(cfg, angles + e) - objective(cfg, angles - e)) / (2 * step)
+    return grad
+
+
+class TestGradient:
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    @pytest.mark.parametrize("d", [7, 11, 19, 43])
+    def test_matches_central_difference(self, obj, d):
+        cfg = config(d, obj=obj)
+        rng = np.random.default_rng([d, len(obj)])
+        for _ in range(3):
+            angles = rng.uniform(0, 2 * np.pi, (d - 1) // 2)
+            value, grad = objective_and_gradient(cfg, angles)
+            assert value == objective(cfg, angles)
+            assert grad.shape == angles.shape
+            expect = central_difference(cfg, angles)
+            assert np.linalg.norm(grad - expect) <= 1e-6 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize(
+        "obj, d, sign",
+        [("xoverlap", 7, +1), ("xoverlap", 7, -1), ("xoverlap", 11, +1),
+         ("sic", 7, -1), ("naive_x", 7, +1)],
+    )
+    def test_vanishes_at_legendre_solution(self, obj, d, sign):
+        _, grad = objective_and_gradient(config(d, obj=obj), catalog_angles(d, sign))
+        assert np.linalg.norm(grad) < 1e-8
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    def test_same_config_same_results(self, obj):
+        cfg = config(11, obj=obj, seed=5, restarts=4, max_iterations=200)
+        assert minimize(cfg) == minimize(cfg)
+
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    def test_restart_independent_of_restart_count(self, obj):
+        _, results = minimize(config(11, obj=obj, seed=9, restarts=5, max_iterations=200))
+        by_index = {r.restart_index: r for r in results}
+        for r in (0, 2, 4):
+            _, alone = minimize(config(11, obj=obj, seed=9, restarts=r + 1, max_iterations=200))
+            assert [t for t in alone if t.restart_index == r] == [by_index[r]]
 
 
 class TestMinimize:

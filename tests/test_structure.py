@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import flatsic.cli
+import flatsic.search
 
 
 def _private_flatsic_names(source: str) -> list[str]:
@@ -50,3 +51,53 @@ def test_guard_detects_private_imports():
         "_table_csv",
         "legendre_mod._residue_signs",
     ]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every function, class and assigned name in the module, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def _scipy_minimize_calls(tree: ast.Module) -> list[ast.Call]:
+    """Calls made inside `minimize` to scipy.optimize.minimize, under any alias."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize"
+        for alias in node.names
+        if alias.name == "minimize"
+    }
+    (func,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "minimize"
+    ]
+    return [
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in aliases
+    ]
+
+
+def _search_tree() -> ast.Module:
+    return ast.parse(Path(flatsic.search.__file__).read_text(encoding="utf-8"))
+
+
+def test_search_defines_no_finite_difference_gradient():
+    names = _defined_names(_search_tree())
+    assert "_central_diff_grad" not in names
+    assert "_GRADIENT_STEP" not in names
+
+
+def test_search_minimizer_takes_gradient_from_objective():
+    calls = _scipy_minimize_calls(_search_tree())
+    assert len(calls) == 1
+    jac = [kw.value for kw in calls[0].keywords if kw.arg == "jac"]
+    assert len(jac) == 1
+    assert isinstance(jac[0], ast.Constant) and jac[0].value is True

@@ -58,6 +58,14 @@ class TestParse:
         with pytest.raises(VectorFileError, match="number pair"):
             parse_vector_file(text)
 
+    @pytest.mark.parametrize(
+        "components",
+        [[[True, False], [False, False]], [[1.0, False], [0.0, 0.0]], [[1.0, 0.0], [True, 0.0]]],
+    )
+    def test_boolean_component(self, components):
+        with pytest.raises(VectorFileError, match="number pair"):
+            parse_vector_file(file_text(2, "normalized", components))
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
     def test_non_finite_component(self, bad):
         text = (
