@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -192,11 +193,13 @@ def _cmd_prop1(args, rep: _Reporter) -> int:
 
 
 def _cmd_perron(args, rep: _Reporter) -> int:
+    fields = [f.name for f in dataclasses.fields(legendre_mod.PerronCounts)]
+    record = operator.attrgetter(*fields)  # (p, a, *counts)
     rows = []
     ok = True
     for p, table in legendre_mod.legendre_sweep(args.pmax, legendre_mod.perron_table):
         expected = ((p + 1) // 4, (p + 1) // 4, (p + 1) // 4, (p - 3) // 4)
-        records = [dataclasses.astuple(c) for c in table]  # (p, a, *counts)
+        records = list(map(record, table))
         rows += records
         seen = {r[2:] for r in records}
         ok &= seen == {expected}
@@ -210,7 +213,7 @@ def _cmd_perron(args, rep: _Reporter) -> int:
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f.name for f in dataclasses.fields(legendre_mod.PerronCounts)])
+        writer.writerow(fields)
         writer.writerows(rows)
         Path(args.csv).write_text(buf.getvalue(), encoding="utf-8")
         rep.kv("csv", args.csv)

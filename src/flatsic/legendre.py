@@ -26,6 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import verify
 from .ansatz import AnsatzVector, build_ansatz, to_normalized, to_vform, x_overlap_residual
@@ -278,12 +279,29 @@ def lemma1_deviation(dim: Dim | int) -> float:
 
 
 def perron_table(dim: Dim | int) -> list[PerronCounts]:
-    """perron_counts for every shift a = 1..p-1."""
+    """The counts of perron_counts for every shift a = 1..p-1, in one pass:
+    row a-1 of a (p-1) x p window view of the doubled Rest indicator is the
+    indicator at (x + a) mod p, and its sum over the Reste x is
+    reste_from_reste.  A shift permutes Z_p, so each row holds all the Reste:
+    the Nichtreste x carry the others, and the Nichtreste counts are the
+    class sizes minus the Reste counts."""
     dim = _require_3mod4_prime(dim)
-    return [perron_counts(dim, a) for a in range(1, dim.d)]
+    p = dim.d
+    rest = _residue_signs(p) >= 0
+    shifted = sliding_window_view(np.concatenate([rest, rest]), p)[1:p]
+    rr = np.count_nonzero(shifted[:, rest], axis=1).tolist()
+    n_rest = int(np.count_nonzero(rest))
+    n_nicht = p - n_rest
+    return [
+        PerronCounts(p, a, r, n_rest - r, n_rest - r, n_nicht - n_rest + r)
+        for a, r in zip(range(1, p), rr)
+    ]
 
 
 def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int, object]]:
     """(p, check(p)) for every prime p <= pmax with p = 3 mod 4, ascending;
-    check is a per-prime function such as lemma1_deviation or perron_table."""
+    check is a per-prime function such as lemma1_deviation or perron_table.
+    Requires pmax >= 3, so that the sweep is not empty."""
+    if pmax < 3:
+        raise ValueError(f"sweep needs pmax >= 3 to reach a prime p = 3 mod 4, got pmax={pmax}")
     return [(p, check(make_dimension(p))) for p in primes_3mod4(pmax)]

@@ -23,8 +23,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -115,6 +117,8 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
         raise ValueError(f"polynomial systems are built for odd d only, got d={d}")
     m = symmetry_multiplier
     if m is not None:
+        if isinstance(m, bool) or int(m) != m:
+            raise ValueError(f"symmetry multiplier must be an integer, got {m!r}")
         m = int(m) % d
         if math.gcd(m, d) != 1:
             raise ValueError(
@@ -125,15 +129,16 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
         gens.append(poly(d, {_mono(d, j, d - j): 1, _mono(d, 0): 1}))
     gens.append(poly(d, {_mono(d, 0, 0): 1, _mono(d, 0): 4, _mono(d): -(d - 3)}))
     for j in range(1, d):
-        terms: dict[tuple[int, ...], Fraction] = {}
+        # sum_m x_m x_{2j-m} as counts of index pairs, first seen at m = min;
+        # the -x_j^2 of -(x_0 + 1) x_j^2 cancels the m = j term
+        pairs = Counter()
         for a in range(d):
-            key = _mono(d, a, (2 * j - a) % d)
-            terms[key] = terms.get(key, Fraction(0)) + 1
-        key = _mono(d, 0, j, j)
-        terms[key] = terms.get(key, Fraction(0)) - 1
-        key = _mono(d, j, j)
-        terms[key] = terms.get(key, Fraction(0)) - 1
-        gens.append(poly(d, terms))
+            b = (2 * j - a) % d
+            pairs[min(a, b), max(a, b)] += 1
+        pairs[j, j] -= 1
+        terms = {_mono(d, a, b): Fraction(n) for (a, b), n in pairs.items() if n}
+        terms[_mono(d, 0, j, j)] = Fraction(-1)
+        gens.append(Poly(d=d, terms=terms))
     if m is not None:
         for j in range(1, d):
             t = (m * j) % d
@@ -192,40 +197,39 @@ def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
 
 
-def _term_key(d: int):
-    order = _var_order(d)
-
-    def key(item):
-        exps, _ = item
-        return (-sum(exps), tuple(-exps[v] for v in order))
-
-    return key
+def _in_var_order(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponents listed in _var_order: x_0 moved last."""
+    return exps[1:] + exps[:1]
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _term_key(item):
+    """Sort key for the export term order, used with reverse=True: total
+    degree, then the exponents in variable order."""
+    exps = item[0]
+    return (sum(exps), _in_var_order(exps))
 
 
 def _poly_line(p: Poly) -> str:
     if not p.terms:
         return "0"
+    order = _var_order(p.d)
     parts = []
-    for pos, (exps, coeff) in enumerate(sorted(p.terms.items(), key=_term_key(p.d))):
+    for pos, (exps, coeff) in enumerate(sorted(p.terms.items(), key=_term_key, reverse=True)):
         factors = [
             f"x{v}" + (f"^{exps[v]}" if exps[v] > 1 else "")
-            for v in _var_order(p.d)
-            if exps[v]
+            for v in compress(order, _in_var_order(exps))
         ]
         mono = "*".join(factors)
-        mag = _coeff_str(abs(coeff))
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if mono:
-            body = mono if abs(coeff) == 1 else f"{mag}*{mono}"
+            body = mono if mag == "1" else f"{mag}*{mono}"
         else:
             body = mag
         if pos == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
+            parts.append(("+ " if num > 0 else "- ") + body)
     return " ".join(parts)
 
 
@@ -271,7 +275,10 @@ def parse_poly(line: str, d: int) -> Poly:
                 continue
             m = _COEFF_RE.match(factor)
             if m:
-                coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                den = int(m.group(2) or 1)
+                if den == 0:
+                    raise ValueError(f"coefficient {factor!r}: denominators must be nonzero")
+                coeff *= Fraction(int(m.group(1)), den)
                 continue
             raise ValueError(f"cannot parse factor {factor!r}")
         key = tuple(exps)

@@ -15,6 +15,7 @@ from flatsic import (
     overlap_table,
     overlap_table_csv,
     parse_vector_file,
+    perron_counts,
 )
 from flatsic.cli import main
 
@@ -205,6 +206,31 @@ class TestPerronLemma:
         pairs = porcelain_dict(out)
         assert float(pairs["max_deviation"]) < 1e-9
         assert pairs["ok"] == "true"
+
+    @pytest.mark.parametrize("pmax", ["2", "-4"])
+    @pytest.mark.parametrize("command", ["perron", "lemma1"])
+    def test_empty_sweep_exits_2(self, capsys, command, pmax):
+        code, out, err = run(capsys, "--porcelain", command, "--pmax", pmax)
+        assert code == 2
+        assert out == ""
+        assert "pmax >= 3" in err
+
+    def test_perron_csv_rows_are_counts(self, capsys, tmp_path):
+        csv_path = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "--porcelain", "perron", "--pmax", "11", "--csv", str(csv_path))
+        assert code == 0
+        expected = [
+            "p,a,reste_from_reste,nichtreste_from_reste,"
+            "reste_from_nichtreste,nichtreste_from_nichtreste"
+        ]
+        for p in (3, 7, 11):
+            for a in range(1, p):
+                c = perron_counts(p, a)
+                expected.append(
+                    f"{p},{a},{c.reste_from_reste},{c.nichtreste_from_reste},"
+                    f"{c.reste_from_nichtreste},{c.nichtreste_from_nichtreste}"
+                )
+        assert csv_path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestPolysys:

@@ -24,6 +24,7 @@ from flatsic import (
     to_vform,
     x_overlap_residual,
 )
+from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
 
 
 class TestLegendreSymbol:
@@ -105,6 +106,23 @@ class TestPerron:
         p = 11
         c = perron_counts(p, p - 1)  # 1 is a residue; 1 + (p-1) = 0
         assert c.reste_from_reste == 3
+
+    @pytest.mark.parametrize("p", primes_3mod4(200) + [499])
+    def test_table_equals_per_shift_counts(self, p):
+        assert perron_table(p) == [perron_counts(p, a) for a in range(1, p)]
+
+    def test_table_rejects_wrong_residue_class(self):
+        with pytest.raises(ValueError):
+            perron_table(13)
+
+    @pytest.mark.parametrize("pmax", [2, 0, -4])
+    @pytest.mark.parametrize("check", [perron_table, lemma1_deviation])
+    def test_empty_sweep_rejected(self, pmax, check):
+        with pytest.raises(ValueError, match="pmax >= 3"):
+            legendre_sweep(pmax, check)
+
+    def test_sweep_from_smallest_prime(self):
+        assert [p for p, _ in legendre_sweep(3, perron_table)] == [3]
 
 
 class TestLegendreX1:

@@ -9,11 +9,13 @@ import pytest
 from helpers import d7_solution, d19_solution, d67_solution, normalize_rescaled
 
 from flatsic import (
+    PolySystem,
     build_system,
     check_d7_component_basis,
     cvec,
     eval_system,
     export_system,
+    make_dimension,
     parse_poly,
     parse_system,
     poly,
@@ -28,6 +30,33 @@ def mono(d, *idx):
     for i in idx:
         e[i] += 1
     return tuple(e)
+
+
+def reference_system(d, m=None):
+    """The generator list built term by term with Fraction additions through
+    poly(): every ordered pair x_a x_{2j-a} of the X-overlap cubic adds 1."""
+
+    def mono_mod(*idx):
+        return mono(d, *(i % d for i in idx))
+
+    gens = []
+    for j in range(1, (d - 1) // 2 + 1):
+        gens.append(poly(d, {mono_mod(j, d - j): 1, mono_mod(0): 1}))
+    gens.append(poly(d, {mono_mod(0, 0): 1, mono_mod(0): 4, mono_mod(): -(d - 3)}))
+    for j in range(1, d):
+        terms = {}
+        for a in range(d):
+            key = mono_mod(a, 2 * j - a)
+            terms[key] = terms.get(key, Fraction(0)) + 1
+        for key in (mono_mod(0, j, j), mono_mod(j, j)):
+            terms[key] = terms.get(key, Fraction(0)) - 1
+        gens.append(poly(d, terms))
+    if m is not None:
+        m %= d
+        for j in range(1, d):
+            if (m * j) % d != j:
+                gens.append(poly(d, {mono_mod(j): 1, mono_mod(m * j): -1}))
+    return PolySystem(dim=make_dimension(d), polys=tuple(gens), symmetry_multiplier=m)
 
 
 def d7_ghost_points():
@@ -79,6 +108,21 @@ class TestBuildSystem:
     def test_non_coprime_multiplier(self):
         with pytest.raises(ValueError):
             build_system(9, symmetry_multiplier=3)
+
+    @pytest.mark.parametrize("bad", [True, False, 7.5, 2.5])
+    def test_non_integral_multiplier(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_system(7, symmetry_multiplier=bad)
+
+    @pytest.mark.parametrize("d, m", [(3, 2), (5, 2), (7, 3), (19, 4), (45, 7), (67, 29)])
+    def test_matches_fraction_loop(self, d, m):
+        for multiplier in (None, m):
+            got = build_system(d, symmetry_multiplier=multiplier)
+            expect = reference_system(d, multiplier)
+            assert got.symmetry_multiplier == expect.symmetry_multiplier
+            assert [list(p.terms.items()) for p in got.polys] == [
+                list(p.terms.items()) for p in expect.polys
+            ]
 
 
 class TestEvalSystem:
@@ -198,6 +242,26 @@ class TestExport:
             parse_poly("x9 + 1", 7)
         with pytest.raises(ValueError):
             parse_poly("x1 +", 7)
+
+    @pytest.mark.parametrize("line", ["1/0*x1", "x1 + 3/0", "-x2*5/0*x0"])
+    def test_parse_poly_zero_denominator(self, line):
+        with pytest.raises(ValueError, match="denominators must be nonzero"):
+            parse_poly(line, 3)
+        with pytest.raises(ValueError, match="denominators must be nonzero"):
+            parse_system("x1*x2 + x0\n" + line, 3)
+
+    @pytest.mark.parametrize(
+        "d, m, fmt, digest",
+        [
+            (19, 4, "plain", "4a818c8445b9f7782703a78d3a15bb55f3f36c28ba12843eb3fb8615580e630c"),
+            (67, 29, "cas-script", "bfcf0cbcafe7f4b54b97fbe3f5585928559167e91b17657d1fefc84c53898a49"),
+            (103, 5, "plain", "d27be3b04fc5d3f07fb487837f5b64dad199e610a90a05ec8fb7ff723e1c2d2e"),
+        ],
+    )
+    def test_export_digest_is_stable(self, d, m, fmt, digest):
+        # digests of the exports written by the term-by-term Fraction builder
+        text = export_system(build_system(d, symmetry_multiplier=m), format=fmt)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_infer_dimension(self):
         system = parse_system("x1*x6 + x0\nx0^2 + 4*x0 - 4")

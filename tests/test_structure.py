@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import flatsic.cli
+import flatsic.legendre
 import flatsic.search
 
 
@@ -101,3 +102,39 @@ def test_search_minimizer_takes_gradient_from_objective():
     jac = [kw.value for kw in calls[0].keywords if kw.arg == "jac"]
     assert len(jac) == 1
     assert isinstance(jac[0], ast.Constant) and jac[0].value is True
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    """Dotted names of everything called under node: `f(...)` gives "f",
+    `mod.f(...)` gives "mod.f"."""
+    names = set()
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        parts, func = [], call.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name):
+            names.add(".".join([func.id, *reversed(parts)]))
+    return names
+
+
+def test_called_names_sees_plain_and_attribute_calls():
+    tree = ast.parse("import dataclasses as dc\ndc.astuple(x)\nastuple(y)\na.b.c(z)\n")
+    assert _called_names(tree) == {"dc.astuple", "astuple", "a.b.c"}
+
+
+def test_cli_builds_perron_rows_without_astuple():
+    tree = ast.parse(Path(flatsic.cli.__file__).read_text(encoding="utf-8"))
+    assert not {name for name in _called_names(tree) if name.split(".")[-1] == "astuple"}
+
+
+def test_perron_table_counts_without_per_shift_calls():
+    tree = ast.parse(Path(flatsic.legendre.__file__).read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "perron_table"
+    ]
+    assert "perron_counts" not in _called_names(func)
