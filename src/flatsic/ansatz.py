@@ -77,8 +77,8 @@ def _require_odd(dim: Dim, what: str) -> None:
 def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     """Build an ansatz vector from its (d-1)/2 free angles (radians).
 
-    Raises for even d and for a wrong angle count.  ghost=True selects the
-    x0 = -2 + sqrt(d+1) branch.
+    Raises for even d, for a wrong angle count and for a non-finite angle.
+    ghost=True selects the x0 = -2 + sqrt(d+1) branch.
     """
     dim = _as_dim(dim)
     _require_odd(dim, "the almost-flat ansatz")
@@ -89,6 +89,10 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     ang = np.atleast_1d(np.asarray(angles, dtype=float))
     if ang.shape != (half,):
         raise ValueError(f"expected {half} angles for d={d}, got {ang.size}")
+    # a Python loop: cheaper than np.isfinite on the few angles of a search call
+    if not all(map(math.isfinite, ang.tolist())):
+        i = int(np.argmin(np.isfinite(ang)))
+        raise ValueError(f"angles must be finite, got {ang[i]} at index {i}")
     s = math.sqrt(d + 1.0)
     x0 = -2.0 + s if ghost else -2.0 - s
     sqrt_x0 = complex(cmath.sqrt(complex(x0)))

@@ -278,24 +278,25 @@ def lemma1_deviation(dim: Dim | int) -> float:
     return worst
 
 
-def perron_table(dim: Dim | int) -> list[PerronCounts]:
-    """The counts of perron_counts for every shift a = 1..p-1, in one pass:
-    row a-1 of a (p-1) x p window view of the doubled Rest indicator is the
-    indicator at (x + a) mod p, and its sum over the Reste x is
-    reste_from_reste.  A shift permutes Z_p, so each row holds all the Reste:
-    the Nichtreste x carry the others, and the Nichtreste counts are the
-    class sizes minus the Reste counts."""
+def perron_table(dim: Dim | int) -> np.ndarray:
+    """perron_counts for every shift a = 1..p-1 as one (p-1) x 6 integer
+    array, row a-1 for shift a, its columns the PerronCounts fields in order.
+
+    One pass counts all shifts: row a-1 of a (p-1) x p window view of the
+    doubled Rest indicator is the indicator at (x + a) mod p, and its sum
+    over the Reste x is reste_from_reste.  A shift permutes Z_p, so each row
+    holds all the Reste: the Nichtreste x carry the others, and the
+    Nichtreste counts are the class sizes minus the Reste counts."""
     dim = _require_3mod4_prime(dim)
     p = dim.d
     rest = _residue_signs(p) >= 0
     shifted = sliding_window_view(np.concatenate([rest, rest]), p)[1:p]
-    rr = np.count_nonzero(shifted[:, rest], axis=1).tolist()
+    rr = np.count_nonzero(shifted[:, rest], axis=1)
     n_rest = int(np.count_nonzero(rest))
     n_nicht = p - n_rest
-    return [
-        PerronCounts(p, a, r, n_rest - r, n_rest - r, n_nicht - n_rest + r)
-        for a, r in zip(range(1, p), rr)
-    ]
+    return np.column_stack(
+        [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, n_nicht - n_rest + rr]
+    )
 
 
 def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int, object]]:

@@ -26,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import groupby
 
 import numpy as np
 
@@ -48,51 +48,62 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial in x_0..x_{d-1}; terms maps exponent tuples to nonzero
-    rational coefficients."""
+    """Polynomial in x_0..x_{d-1}; monomials maps each monomial to its
+    nonzero rational coefficient.  A monomial is the tuple of its variable
+    indices, one entry per power, in the variable order x_1 < ... < x_{d-1}
+    < x_0: x_0 x_j^2 is (j, j, 0) and the constant monomial is ()."""
 
     d: int
-    terms: dict[tuple[int, ...], Fraction] = field(compare=False)
+    monomials: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", dict(self.terms))
+        object.__setattr__(self, "monomials", dict(self.monomials))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.d == other.d and self.terms == other.terms
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The same terms keyed by dense exponent tuples of length d, in the
+        same order."""
+        dense = {}
+        for mono, coeff in self.monomials.items():
+            exps = [0] * self.d
+            for v in mono:
+                exps[v] += 1
+            dense[tuple(exps)] = coeff
+        return dense
 
     def evaluate(self, point) -> complex:
         """Evaluate at a complex point of length d (double precision)."""
         pt = np.asarray(point, dtype=np.complex128)
         if pt.shape != (self.d,):
             raise ValueError(f"expected a point of length {self.d}, got {pt.shape}")
+        values = pt.tolist()
         total = 0j
-        for exps, coeff in self.terms.items():
-            term = complex(float(coeff))
-            for v, e in enumerate(exps):
-                if e:
-                    term *= pt[v] ** e
+        for mono, coeff in self.monomials.items():
+            term = complex(coeff)
+            for v in mono:
+                term *= values[v]
             total += term
         return total
 
 
 def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
-    """Build a Poly, validating exponent lengths and dropping zero terms."""
+    """Build a Poly from dense exponent tuples of length d, dropping zero
+    terms."""
+    order = _var_order(d)
     clean: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in terms.items():
         exps = tuple(int(e) for e in exps)
-        if len(exps) != d:
-            raise ValueError(f"exponent vector {exps} does not have length {d}")
+        if len(exps) != d or min(exps, default=0) < 0:
+            raise ValueError(f"exponent vector {exps} is not {d} nonnegative integers")
         coeff = Fraction(coeff)
         if coeff:
-            clean[exps] = coeff
-    return Poly(d=d, terms=clean)
+            clean[tuple(v for v in order for _ in range(exps[v]))] = coeff
+    return Poly(d=d, monomials=clean)
 
 
-def _mono(d: int, *indices: int) -> tuple[int, ...]:
-    exps = [0] * d
-    for i in indices:
-        exps[i % d] += 1
-    return tuple(exps)
+def _from_monomials(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
+    """Poly with the nonzero terms of a monomial-keyed dict."""
+    return Poly(d=d, monomials={mono: Fraction(c) for mono, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
@@ -126,24 +137,24 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
             )
     gens: list[Poly] = []
     for j in range(1, (d - 1) // 2 + 1):
-        gens.append(poly(d, {_mono(d, j, d - j): 1, _mono(d, 0): 1}))
-    gens.append(poly(d, {_mono(d, 0, 0): 1, _mono(d, 0): 4, _mono(d): -(d - 3)}))
+        gens.append(_from_monomials(d, {(j, d - j): 1, (0,): 1}))
+    gens.append(_from_monomials(d, {(0, 0): 1, (0,): 4, (): 3 - d}))
     for j in range(1, d):
-        # sum_m x_m x_{2j-m} as counts of index pairs, first seen at m = min;
-        # the -x_j^2 of -(x_0 + 1) x_j^2 cancels the m = j term
+        # sum_m x_m x_{2j-m} as counts of index pairs (x_0 last), first seen at
+        # m = min; the -x_j^2 of -(x_0 + 1) x_j^2 cancels the m = j term
         pairs = Counter()
         for a in range(d):
             b = (2 * j - a) % d
-            pairs[min(a, b), max(a, b)] += 1
+            lo, hi = (a, b) if a < b else (b, a)
+            pairs[(lo, hi) if lo else (hi, 0)] += 1
         pairs[j, j] -= 1
-        terms = {_mono(d, a, b): Fraction(n) for (a, b), n in pairs.items() if n}
-        terms[_mono(d, 0, j, j)] = Fraction(-1)
-        gens.append(Poly(d=d, terms=terms))
+        pairs[j, j, 0] = -1
+        gens.append(_from_monomials(d, pairs))
     if m is not None:
         for j in range(1, d):
             t = (m * j) % d
             if t != j:
-                gens.append(poly(d, {_mono(d, j): 1, _mono(d, t): -1}))
+                gens.append(_from_monomials(d, {(j,): 1, (t,): -1}))
     return PolySystem(dim=dim, polys=tuple(gens), symmetry_multiplier=m)
 
 
@@ -160,17 +171,14 @@ def eval_system(system: PolySystem, point) -> list[float]:
 # Known lexicographic basis of the permutation-symmetric component of the
 # d=7 system (x1 = x2 = x4, x3 = x5 = x6); hard-coded verbatim.
 def _d7_component_basis() -> tuple[Poly, ...]:
-    d = 7
     half = Fraction(1, 2)
     gens = []
     for j in (1, 2, 4):
-        gens.append(poly(d, {_mono(d, j): 1, _mono(d, 6): 1, _mono(d, 0): half, _mono(d): -1}))
+        gens.append(_from_monomials(7, {(j,): 1, (6,): 1, (0,): half, (): -1}))
     for j in (3, 5):
-        gens.append(poly(d, {_mono(d, j): 1, _mono(d, 6): -1}))
-    gens.append(
-        poly(d, {_mono(d, 6, 6): 1, _mono(d, 6, 0): half, _mono(d, 6): -1, _mono(d, 0): -1})
-    )
-    gens.append(poly(d, {_mono(d, 0, 0): 1, _mono(d, 0): 4, _mono(d): -4}))
+        gens.append(_from_monomials(7, {(j,): 1, (6,): -1}))
+    gens.append(_from_monomials(7, {(6, 6): 1, (6, 0): half, (6,): -1, (0,): -1}))
+    gens.append(_from_monomials(7, {(0, 0): 1, (0,): 4, (): -4}))
     return tuple(gens)
 
 
@@ -192,34 +200,24 @@ def check_d7_component_basis(point) -> float:
 # Term order: graded lexicographic with variable order x1 > x2 > ... > x0
 # (x_0 last, mirroring the lexicographic order used for the published d=7
 # basis).  Within a monomial the factors print in that same variable order.
+# On index tuples this is: higher degree first, then ascending index tuple
+# with x_0 ranked as d, since within one degree a smaller sorted index tuple
+# is a larger exponent vector.
 
 def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
 
 
-def _in_var_order(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponents listed in _var_order: x_0 moved last."""
-    return exps[1:] + exps[:1]
-
-
-def _term_key(item):
-    """Sort key for the export term order, used with reverse=True: total
-    degree, then the exponents in variable order."""
-    exps = item[0]
-    return (sum(exps), _in_var_order(exps))
-
-
 def _poly_line(p: Poly) -> str:
-    if not p.terms:
+    if not p.monomials:
         return "0"
-    order = _var_order(p.d)
+    ordered = sorted(
+        p.monomials.items(), key=lambda item: (-len(item[0]), [v or p.d for v in item[0]])
+    )
     parts = []
-    for pos, (exps, coeff) in enumerate(sorted(p.terms.items(), key=_term_key, reverse=True)):
-        factors = [
-            f"x{v}" + (f"^{exps[v]}" if exps[v] > 1 else "")
-            for v in compress(order, _in_var_order(exps))
-        ]
-        mono = "*".join(factors)
+    for pos, (indices, coeff) in enumerate(ordered):
+        powers = [(v, len(list(run))) for v, run in groupby(indices)]
+        mono = "*".join(f"x{v}^{n}" if n > 1 else f"x{v}" for v, n in powers)
         num, den = coeff.numerator, coeff.denominator
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if mono:
@@ -264,14 +262,14 @@ def parse_poly(line: str, d: int) -> Poly:
                 sign = -1
                 tok = tok[1:]
         coeff = Fraction(sign)
-        exps = [0] * d
+        indices = []
         for factor in tok.split("*"):
             m = _FACTOR_RE.match(factor)
             if m:
                 idx = int(m.group(1))
                 if idx >= d:
                     raise ValueError(f"variable x{idx} out of range for d={d}")
-                exps[idx] += int(m.group(2) or 1)
+                indices += [idx] * int(m.group(2) or 1)
                 continue
             m = _COEFF_RE.match(factor)
             if m:
@@ -281,10 +279,10 @@ def parse_poly(line: str, d: int) -> Poly:
                 coeff *= Fraction(int(m.group(1)), den)
                 continue
             raise ValueError(f"cannot parse factor {factor!r}")
-        key = tuple(exps)
+        key = tuple(sorted(indices, key=lambda v: v or d))
         terms[key] = terms.get(key, Fraction(0)) + coeff
         pos += 1
-    return poly(d, terms)
+    return _from_monomials(d, terms)
 
 
 def export_system(system: PolySystem, format: str = "plain") -> str:

@@ -78,13 +78,15 @@ def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
     maxima, pairs, gik = [], [], []
     for start in range(0, d, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, d))
-        dev = np.abs(np.abs(overlap_rows(unit, rows)) ** 2 - 1.0 / (d + 1.0))
+        moduli_sq = np.abs(overlap_rows(unit, rows)) ** 2
+        dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
         if start == 0:
             dev[0, 0] = 0.0
         flat = int(np.argmax(dev))
         maxima.append(dev.flat[flat])
         pairs.append((start + flat // d, flat % d))
-        gik.append(np.abs(_gik_gaps(rows, gik_rows(unit, rows))).max())
+        # G rows from the same moduli, as gik_rows computes them
+        gik.append(np.abs(_gik_gaps(rows, np.fft.ifft(moduli_sq))).max())
     worst = int(np.argmax(maxima))
     return float(maxima[worst]), pairs[worst], float(np.max(gik))
 

@@ -56,6 +56,14 @@ class TestBuildAnsatz:
         with pytest.raises(ValueError):
             build_ansatz(4, [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_non_finite_angle_rejected(self, bad, index):
+        angles = [0.1, 0.2, 0.3]
+        angles[index] = bad
+        with pytest.raises(ValueError, match=f"angles must be finite.*index {index}"):
+            build_ansatz(7, angles)
+
     @pytest.mark.parametrize("d", [3, 5, 7, 9, 19])
     def test_invariants(self, d):
         rng = np.random.default_rng(d)
@@ -296,3 +304,8 @@ class TestJson:
     def test_bad_payload(self):
         with pytest.raises(ValueError):
             ansatz_from_json('{"d": 7}')
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_angle_payload(self, token):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            ansatz_from_json(f'{{"d": 7, "ghost": false, "angles": [0.1, {token}, 0.3]}}')

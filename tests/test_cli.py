@@ -17,6 +17,7 @@ from flatsic import (
     parse_vector_file,
     perron_counts,
 )
+from flatsic import legendre as legendre_mod
 from flatsic.cli import main
 
 
@@ -109,6 +110,18 @@ class TestLegendreVerify:
 
 
 class TestAnsatzBuild:
+    @pytest.mark.parametrize("angles", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_angles(self, capsys, tmp_path, angles):
+        vec_path = tmp_path / "v.json"
+        code, out, err = run(
+            capsys, "--porcelain", "ansatz-build", "--d", "7", "--angles", angles,
+            "--out", str(vec_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "angles must be finite" in err
+        assert not vec_path.exists()
+
     def test_build_and_xoverlap(self, capsys, tmp_path):
         vec_path = str(tmp_path / "a.json")
         code, out, _ = run(
@@ -214,6 +227,38 @@ class TestPerronLemma:
         assert code == 2
         assert out == ""
         assert "pmax >= 3" in err
+
+    def test_perron_reports_first_broken_shift(self, capsys, monkeypatch):
+        table = legendre_mod.perron_table
+
+        def broken(dim):
+            rows = table(dim).copy()
+            if dim.d == 11:
+                rows[4, 5] += 1
+            return rows
+
+        monkeypatch.setattr(legendre_mod, "perron_table", broken)
+        code, out, _ = run(capsys, "--porcelain", "perron", "--pmax", "19")
+        assert code == 1
+        pairs = porcelain_dict(out)
+        assert pairs["p7_counts"] == "2,2,2,1"
+        assert pairs["p11_counts"] == "3,3,3,3"
+        assert pairs["p19_counts"] == "5,5,5,4"
+        assert pairs["ok"] == "false"
+
+    def test_perron_outputs_are_pinned(self, capsys, tmp_path):
+        # digests of the outputs written from per-shift PerronCounts records
+        code, out, _ = run(capsys, "--porcelain", "perron", "--pmax", "500")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "a9e55712c4750ecdc83417b9167e5dd1aa154410d5c5cd1bbf72e4eca9973a63"
+        )
+        csv_path = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "--porcelain", "perron", "--pmax", "500", "--csv", str(csv_path))
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "7918931a443834922a740b848e565be45dde0cda9013882bcca7d862773e9a4e"
+        )
 
     def test_perron_csv_rows_are_counts(self, capsys, tmp_path):
         csv_path = tmp_path / "p.csv"

@@ -7,6 +7,7 @@ kernel.  The input vector is normalized here too, without flatsic's form
 conversions.
 """
 
+import dataclasses
 import math
 import time
 
@@ -32,6 +33,7 @@ from flatsic import (
     naive_x_residual,
     objective,
     overlap_table,
+    perron_counts,
     sic_residual,
     to_normalized,
     to_rescaled,
@@ -201,4 +203,6 @@ def test_perron_sweep_covers_every_shift():
     sweep = legendre_sweep(23, perron_table)
     assert [p for p, _ in sweep] == [3, 7, 11, 19, 23]
     for p, table in sweep:
-        assert [c.a for c in table] == list(range(1, p))
+        assert table.tolist() == [
+            list(dataclasses.astuple(perron_counts(p, a))) for a in range(1, p)
+        ]

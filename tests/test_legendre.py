@@ -1,6 +1,7 @@
 """Legendre symbols, Perron counts, and the closed-form Legendre vectors."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -109,7 +110,15 @@ class TestPerron:
 
     @pytest.mark.parametrize("p", primes_3mod4(200) + [499])
     def test_table_equals_per_shift_counts(self, p):
-        assert perron_table(p) == [perron_counts(p, a) for a in range(1, p)]
+        assert perron_table(p).tolist() == [
+            list(dataclasses.astuple(perron_counts(p, a))) for a in range(1, p)
+        ]
+
+    @pytest.mark.parametrize("p", [3, 7, 499])
+    def test_table_is_one_integer_array(self, p):
+        table = perron_table(p)
+        assert table.shape == (p - 1, 6)
+        assert table.dtype.kind == "i"
 
     def test_table_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):

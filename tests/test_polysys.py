@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import d7_solution, d19_solution, d67_solution, normalize_rescaled
+from helpers import d7_solution, d19_solution, d67_solution, normalize_rescaled, random_complex
 
 from flatsic import (
     PolySystem,
@@ -114,6 +114,22 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="must be an integer"):
             build_system(7, symmetry_multiplier=bad)
 
+    def test_monomials_are_variable_indices(self):
+        system = build_system(7)
+        cubic = system.polys[4 + 2]  # P_3 = 2*x1*x5 + 2*x2*x4 + 2*x6*x0 - x3^2*x0
+        assert cubic.monomials == {(6, 0): 2, (1, 5): 2, (2, 4): 2, (3, 3, 0): -1}
+        assert system.polys[3].monomials == {(0, 0): 1, (0,): 4, (): -4}
+        assert cubic.terms == {mono(7, *m): c for m, c in cubic.monomials.items()}
+
+    def test_poly_converts_exponent_tuples(self):
+        p = poly(7, {mono(7, 0, 3, 3): -1, mono(7, 5, 1): 2, mono(7): 0})
+        assert p.monomials == {(3, 3, 0): -1, (1, 5): 2}
+        assert list(p.terms) == [mono(7, 0, 3, 3), mono(7, 1, 5)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            poly(3, {(1, -1, 0): 1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            poly(3, {(1, 0): 1})
+
     @pytest.mark.parametrize("d, m", [(3, 2), (5, 2), (7, 3), (19, 4), (45, 7), (67, 29)])
     def test_matches_fraction_loop(self, d, m):
         for multiplier in (None, m):
@@ -161,6 +177,20 @@ class TestEvalSystem:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_system(build_system(7), np.zeros(5))
+
+    @pytest.mark.parametrize("d, m", [(19, 4), (67, 29)])
+    def test_off_variety_matches_dense_numpy(self, d, m):
+        # at a random point no generator vanishes, so every term counts
+        system = build_system(d, symmetry_multiplier=m)
+        point = random_complex(np.random.default_rng(d), d)
+        expect = [
+            sum(float(c) * np.prod(point ** np.array(exps)) for exps, c in p.terms.items())
+            for p in system.polys
+        ]
+        got = [p.evaluate(point) for p in system.polys]
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(eval_system(system, point), np.abs(expect), rtol=1e-12, atol=0)
+        assert min(np.abs(expect)) > 1e-3
 
     def test_solution_consistency(self):
         # on-variety points with x0 < 0 satisfy the X-overlap equation once

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import flatsic.cli
 import flatsic.legendre
+import flatsic.polysys
 import flatsic.search
 
 
@@ -138,3 +139,18 @@ def test_perron_table_counts_without_per_shift_calls():
         if isinstance(node, ast.FunctionDef) and node.name == "perron_table"
     ]
     assert "perron_counts" not in _called_names(func)
+
+
+def test_perron_table_builds_no_records():
+    tree = ast.parse(Path(flatsic.legendre.__file__).read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "perron_table"
+    ]
+    assert "PerronCounts" not in _called_names(func)
+
+
+def test_polysys_has_no_dense_exponent_helpers():
+    tree = ast.parse(Path(flatsic.polysys.__file__).read_text(encoding="utf-8"))
+    assert not {"_mono", "_in_var_order", "_term_key"} & _defined_names(tree)
