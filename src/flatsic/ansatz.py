@@ -85,22 +85,11 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     d = dim.d
     if d < 3:
         raise ValueError(f"the almost-flat ansatz requires d >= 3, got {d}")
-    half = (d - 1) // 2
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    if ang.shape != (half,):
-        raise ValueError(f"expected {half} angles for d={d}, got {ang.size}")
-    # a Python loop: cheaper than np.isfinite on the few angles of a search call
-    if not all(map(math.isfinite, ang.tolist())):
-        i = int(np.argmin(np.isfinite(ang)))
-        raise ValueError(f"angles must be finite, got {ang[i]} at index {i}")
-    s = math.sqrt(d + 1.0)
-    x0 = -2.0 + s if ghost else -2.0 - s
-    sqrt_x0 = complex(cmath.sqrt(complex(x0)))
-    v = np.empty(d - 1, dtype=np.complex128)
-    v[:half] = np.exp(1j * ang)
-    v[half:] = -np.conj(v[half - 1 :: -1])
+    x0, sqrt_x0 = _branch(d, ghost)
+    ang, w = _vform_array(d, angles, sqrt_x0)
     ang = ang.copy()
     ang.setflags(write=False)
+    v = w[1:]
     v.setflags(write=False)
     return AnsatzVector(
         dim=dim,
@@ -111,6 +100,36 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
         norm_sq=1.0 / (d - 1.0 - x0),
         ghost=ghost,
     )
+
+
+def _branch(d: int, ghost: bool) -> tuple[float, complex]:
+    """x0 of the chosen branch and its square root sqrt(x0)."""
+    s = math.sqrt(d + 1.0)
+    x0 = -2.0 + s if ghost else -2.0 - s
+    return x0, complex(cmath.sqrt(complex(x0)))
+
+
+def _vform_array(d: int, angles, sqrt_x0: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The checked free angles and the v-form array (sqrt_x0, v_1, ..., v_{d-1})
+    they generate, for odd d >= 3.
+
+    The only place the v-form is built from angles, and the only place
+    angles are checked: raises for a wrong angle count and for a non-finite
+    angle.  The returned angle array may share memory with the input.
+    """
+    half = (d - 1) // 2
+    ang = np.atleast_1d(np.asarray(angles, dtype=float))
+    if ang.shape != (half,):
+        raise ValueError(f"expected {half} angles for d={d}, got {ang.size}")
+    # a Python loop: cheaper than np.isfinite on the few angles of a search call
+    if not all(map(math.isfinite, ang.tolist())):
+        i = int(np.argmin(np.isfinite(ang)))
+        raise ValueError(f"angles must be finite, got {ang[i]} at index {i}")
+    w = np.empty(d, dtype=np.complex128)
+    w[0] = sqrt_x0
+    w[1 : half + 1] = np.exp(1j * ang)
+    w[half + 1 :] = -np.conj(w[half:0:-1])
+    return ang, w
 
 
 def to_vform(av: AnsatzVector) -> CVec:
@@ -226,11 +245,16 @@ def vform_x_overlap_deviations(vec: CVec) -> np.ndarray:
     return np.abs(_vform_x_gaps(vec.components))
 
 
-def _vform_x_gaps(w: np.ndarray) -> np.ndarray:
-    """<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2 for j = 1..d-1 (odd d)."""
+def _vform_x_gaps(w: np.ndarray, spectrum=None, lags=None) -> np.ndarray:
+    """<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2 for j = 1..d-1 (odd d).
+
+    A caller that already holds fft(w) or the lags 2j mod d passes them in.
+    """
     d = w.shape[0]
+    if lags is None:
+        lags = (2 * np.arange(1, d)) % d
     s = math.sqrt(d + 1.0)
-    return autocorrelation(w)[(2 * np.arange(1, d)) % d] - (s + 1.0) * w[1:] ** 2
+    return autocorrelation(w, spectrum)[lags] - (s + 1.0) * w[1:] ** 2
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Objectives are sums of squared residuals of the X-overlap equation (on the
 v-form), of the quartic SIC conditions, or of the naive shift-modulus
 conditions.  Each comes with its exact gradient in the free angles
 (objective_and_gradient), which the quasi-Newton minimizer uses; no finite
-differences are taken.  Every restart draws its starting point from a
+differences are taken.  minimize evaluates them from one plan per search,
+which holds every constant that depends only on d.  Every restart draws its starting point from a
 generator seeded by (seed, restart_index), so runs are reproducible bit for
 bit and restarts could execute in any order.
 """
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .ansatz import (
-    _vform_x_gaps,
-    as_normalized,
-    build_ansatz,
-    to_normalized,
-    to_vform,
-    z_shift,
-)
+from .ansatz import _branch, _vform_array, _vform_x_gaps, as_normalized, z_shift
 from .verify import _check_tolerance, _naive_x_gaps
 from .weyl import CVec, Dim, _as_dim, _row_phases, autocorrelation, overlap_rows
 
@@ -61,6 +55,15 @@ class SearchConfig:
             raise ValueError(
                 f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}"
             )
+        for field in ("seed", "restarts", "max_iterations"):
+            value = getattr(self, field)
+            try:
+                integral = not isinstance(value, bool) and int(value) == value
+            except (TypeError, ValueError, OverflowError):  # None, non-numeric text, NaN, inf
+                integral = False
+            if not integral:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.restarts < 1:
@@ -89,54 +92,98 @@ def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndar
     """The configured objective at a set of free angles and its exact gradient
     with respect to those angles, from one pass over the kernel quantities.
 
-    All three objectives go through build_ansatz, so the clock-overlap
-    condition holds identically and only the X-side structure is penalized.
-    Each is first differentiated by conj(w_k) for the vector w it reads (the
-    v-form for xoverlap, the unit vector otherwise; its norm is the same at
-    every angle), then chained to the angles by _angle_gradient.
+    Angles are checked exactly as build_ansatz checks them.  The vector is
+    always a default-branch ansatz vector, so the clock-overlap condition
+    holds identically and only the X-side structure is penalized.  Each
+    objective is first differentiated by conj(w_k) for the vector w it reads
+    (the v-form for xoverlap, the unit vector otherwise; its norm is the same
+    at every angle), then chained to the angles by _angle_gradient.
     """
-    av = build_ansatz(config.dim, angles)
+    return _plan(config)(angles)
+
+
+def _plan(config: SearchConfig):
+    """The objective_and_gradient function of one configuration.
+
+    Everything that depends only on d is computed here, once per search;
+    each evaluation builds the v-form array of its angles and the kernel
+    quantities of that vector, and nothing else.
+    """
     d = config.dim.d
+    _, sqrt_x0 = _branch(d, ghost=False)
+    pos = np.arange(1, (d + 1) // 2)
+    neg = d - pos
+
     if config.objective == "xoverlap":
-        w = to_vform(av).components
-        gaps = _vform_x_gaps(w)  # gap j sits at lag 2j
-        lagged = np.zeros(d, dtype=np.complex128)
-        lagged[(2 * np.arange(1, d)) % d] = gaps
-        grad = _lag_adjoint(w, lagged)
-        grad[1:] -= 2.0 * (math.sqrt(d + 1.0) + 1.0) * np.conj(w[1:]) * gaps
-        return float(np.sum(np.abs(gaps) ** 2)), _angle_gradient(w, grad)
-    w = to_normalized(av).components
+        lags = (2 * np.arange(1, d)) % d
+        scale = 2.0 * (math.sqrt(d + 1.0) + 1.0)
+
+        def xoverlap(angles):
+            _, w = _vform_array(d, angles, sqrt_x0)
+            spectrum = np.fft.fft(w)
+            gaps = _vform_x_gaps(w, spectrum, lags)  # gap j sits at lag 2j
+            lagged = np.zeros(d, dtype=np.complex128)
+            lagged[lags] = gaps
+            grad = _lag_adjoint(spectrum, lagged)
+            grad[1:] -= scale * np.conj(w[1:]) * gaps
+            return float(np.sum(np.abs(gaps) ** 2)), _angle_gradient(w, grad, pos, neg)
+
+        return xoverlap
+
+    def unit_vector(angles):
+        _, v = _vform_array(d, angles, sqrt_x0)
+        return v / np.linalg.norm(v)
+
     if config.objective == "naive_x":
-        c = autocorrelation(w)
-        gaps = _naive_x_gaps(c)
-        return float(np.sum(gaps**2)), _angle_gradient(w, _lag_adjoint(w, 2.0 * gaps * c))
+
+        def naive_x(angles):
+            w = unit_vector(angles)
+            spectrum = np.fft.fft(w)
+            c = autocorrelation(w, spectrum)
+            gaps = _naive_x_gaps(c)
+            grad = _lag_adjoint(spectrum, 2.0 * gaps * c)
+            return float(np.sum(gaps**2)), _angle_gradient(w, grad, pos, neg)
+
+        return naive_x
+
     # sic: by Parseval over k, sum_ik |G(i,k) - target|^2 = (1/d) sum_ij E_ij^2 with
     # E_ij = |O_ij|^2 - t_ij, O the overlap table, t_00 = 1 and t_ij = 1/(d+1)
     # elsewhere.  (D_ij w)_q = tau^{-ij} omega^{jq} w_{q-i}, so the gradient
     # (4/d) sum_ij E_ij conj(O_ij) (D_ij w)_q is one inverse FFT per row.
-    table = overlap_rows(w, np.arange(d))
-    rows = np.arange(d)[:, None]
+    indices = np.arange(d)
+    rows = indices[:, None]
     target = np.full((d, d), 1.0 / (d + 1.0))
     target[0, 0] = 1.0
-    gaps = np.abs(table) ** 2 - target
-    spectra = np.fft.ifft(gaps * np.conj(table) * _row_phases(d, rows), axis=1)
-    grad = 4.0 * np.sum(w[(rows.T - rows) % d] * spectra, axis=0)
-    return float(np.sum(gaps**2) / d), _angle_gradient(w, grad)
+    phases = _row_phases(d, rows)
+    shifted = (rows.T - rows) % d  # [i, q] -> q - i
+
+    def sic(angles):
+        w = unit_vector(angles)
+        table = overlap_rows(w, indices)
+        gaps = np.abs(table) ** 2 - target
+        spectra = np.fft.ifft(gaps * np.conj(table) * phases, axis=1)
+        grad = 4.0 * np.sum(w[shifted] * spectra, axis=0)
+        return float(np.sum(gaps**2) / d), _angle_gradient(w, grad, pos, neg)
+
+    return sic
 
 
-def _lag_adjoint(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _lag_adjoint(spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g_k = sum_m r_m w_{k-m} + sum_m conj(r_m) w_{k+m}, one convolution and
     one correlation: the conj(w_k) derivative of sum_m conj(r_m) c_m + c.c.
-    with r held fixed, where c is the autocorrelation of w."""
+    with r held fixed, where c is the autocorrelation of w and spectrum is
+    fft(w)."""
     rf = np.fft.fft(r)
-    return np.fft.ifft((rf + np.conj(rf)) * np.fft.fft(w))
+    return np.fft.ifft((rf + np.conj(rf)) * spectrum)
 
 
-def _angle_gradient(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _angle_gradient(
+    w: np.ndarray, grad: np.ndarray, pos: np.ndarray, neg: np.ndarray
+) -> np.ndarray:
     """Chain a gradient grad_k = df/dconj(w_k) of a real f through
-    w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..(d-1)/2."""
-    j = np.arange(1, (w.shape[0] + 1) // 2)
-    return 2.0 * (np.imag(np.conj(grad[-j]) * w[-j]) - np.imag(np.conj(grad[j]) * w[j]))
+    w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..(d-1)/2, for
+    pos = j and neg = d - j."""
+    return 2.0 * (np.imag(np.conj(grad[neg]) * w[neg]) - np.imag(np.conj(grad[pos]) * w[pos]))
 
 
 def objective(config: SearchConfig, angles) -> float:
@@ -155,10 +202,7 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
     restarts are kept, flagged converged=False.
     """
     half = (config.dim.d - 1) // 2
-
-    def f(a):
-        return objective_and_gradient(config, a)
-
+    f = _plan(config)
     results = []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])

@@ -392,6 +392,42 @@ class TestSearchMatch:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, stdout_digest, out_digest",
+        [
+            (
+                ("--d", "7", "--objective", "xoverlap", "--seed", "42", "--restarts", "10"),
+                "75949a1b7d973b2102a6d4c0c993c21b9dcdb6d02eefc493a1330e183c6e3dda",
+                "ac4388c20f269968808ff48817cada77340bfa7117aa9c63a31f477b2ff6fba3",
+            ),
+            (
+                ("--d", "11", "--objective", "naive_x", "--seed", "123", "--restarts", "10"),
+                "9c25b4f32960a4dcafd0e1dc7efd3780c85b490268628845f097d1ac1905e950",
+                "f77e72cf4309d7185dd5644f8c8d2d42bae1ada574947082313ee7a00f3266ac",
+            ),
+            (
+                ("--d", "7", "--objective", "sic", "--seed", "5", "--restarts", "5"),
+                "4d9883e83af00152b601ba22a2c338f99c8d923423221b1fb4a641f4766ba51f",
+                "15278a1ba4085dea789faaffce66b722e3394295964a662db677279adddb90d5",
+            ),
+            (
+                ("--d", "19", "--objective", "xoverlap", "--seed", "7", "--restarts", "5"),
+                "d55b435ea756c40ae9c7a16524232d31e8da06fe90001749d7ad79069067fa3e",
+                "e0342e026aa9dfcb3bb169c1861006e76661c373f8bf0e705ccc3d1601819862",
+            ),
+        ],
+    )
+    def test_search_outputs_are_pinned(
+        self, capsys, tmp_path, monkeypatch, argv, stdout_digest, out_digest
+    ):
+        # digests of the outputs of the searches that evaluated each objective
+        # through an AnsatzVector per call; a relative --out keeps stdout fixed
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "--porcelain", "search", *argv, "--out", "res.json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+        assert hashlib.sha256((tmp_path / "res.json").read_bytes()).hexdigest() == out_digest
+
     def test_match(self, capsys, tmp_path, d7_file):
         other = tmp_path / "other.json"
         other.write_text(dump_vector(normalize_rescaled(d7_solution(+1))))

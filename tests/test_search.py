@@ -57,6 +57,12 @@ class TestConfig:
             ("convergence_threshold", -float("inf")),
             ("max_iterations", 0),
             ("max_iterations", -1),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("seed", True),
+            ("seed", 1.5),
+            ("restarts", True),
+            ("restarts", 2.5),
         ],
     )
     def test_rejects_non_finite_threshold_and_iteration_cap_below_one(self, field, value):
@@ -79,6 +85,21 @@ class TestObjective:
     def test_wrong_angle_count(self):
         with pytest.raises(ValueError):
             objective(config(7), [0.1, 0.2])
+
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    @pytest.mark.parametrize(
+        "angles",
+        [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [0.1, float("nan"), 0.3],
+         [float("inf"), 0.2, 0.3], [0.1, 0.2, -float("inf")]],
+    )
+    def test_rejects_angles_as_build_ansatz_does(self, obj, angles):
+        from flatsic import build_ansatz
+
+        with pytest.raises(ValueError) as expected:
+            build_ansatz(7, angles)
+        with pytest.raises(ValueError) as got:
+            objective_and_gradient(config(7, obj=obj), angles)
+        assert str(got.value) == str(expected.value)
 
     def test_solution_angles_xoverlap(self):
         for sign in (+1, -1):

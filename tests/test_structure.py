@@ -154,3 +154,107 @@ def test_perron_table_builds_no_records():
 def test_polysys_has_no_dense_exponent_helpers():
     tree = ast.parse(Path(flatsic.polysys.__file__).read_text(encoding="utf-8"))
     assert not {"_mono", "_in_var_order", "_term_key"} & _defined_names(tree)
+
+
+#: What the search objectives must not build per evaluation: each wraps the
+#: v-form array in a frozen record or a validated, copied vector.
+_VECTOR_WRAPPERS = {"build_ansatz", "to_vform", "to_normalized", "CVec"}
+
+
+def _reachable_calls(tree: ast.Module, roots) -> set[str]:
+    """Last components of the names called by the module-level functions in
+    roots and, transitively, by every module-level function they call."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, called = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        names = {dotted.split(".")[-1] for dotted in _called_names(functions[name])}
+        called |= names
+        todo.extend(names)
+    return called
+
+
+def test_reachable_calls_follows_module_functions():
+    tree = ast.parse(
+        "def objective_and_gradient(c, a):\n    return _helper(a)\n"
+        "def _helper(a):\n    return ansatz.to_vform(build(a))\n"
+        "def unrelated():\n    return CVec(1)\n"
+    )
+    assert _reachable_calls(tree, ["objective_and_gradient"]) == {"_helper", "to_vform", "build"}
+
+
+def test_search_objectives_build_no_vector_records():
+    called = _reachable_calls(_search_tree(), ["objective_and_gradient", "minimize"])
+    assert not called & _VECTOR_WRAPPERS
+
+
+def _innermost_functions(tree: ast.AST):
+    """(function, nodes of its body outside any nested function) pairs."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes, todo = [], list(ast.iter_child_nodes(func))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            nodes.append(node)
+            todo.extend(ast.iter_child_nodes(node))
+        yield func, nodes
+
+
+def _call_leaf(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _builds_vform(nodes) -> bool:
+    """True when the nodes take exp(1j * angles) or the pairing
+    v_{d-j} = -conj(v_j), the two steps that turn angles into a v-form."""
+    for node in nodes:
+        if (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and _call_leaf(node.operand) == "conj"
+        ):
+            return True
+        if _call_leaf(node) == "exp" and node.args:
+            arg = node.args[0]
+            if (
+                isinstance(arg, ast.BinOp)
+                and isinstance(arg.op, ast.Mult)
+                and {type(arg.left), type(arg.right)} == {ast.Constant, ast.Name}
+                and 1j in {getattr(arg.left, "value", None), getattr(arg.right, "value", None)}
+            ):
+                return True
+    return False
+
+
+def _vform_builders(source: str) -> list[str]:
+    functions = _innermost_functions(ast.parse(source))
+    return [func.name for func, nodes in functions if _builds_vform(nodes)]
+
+
+def test_vform_builder_detection():
+    source = (
+        "def build(ang):\n    return np.exp(1j * ang)\n"
+        "def pair(v):\n    return -np.conj(v[::-1])\n"
+        "def outer(ang):\n    def inner(v):\n        return -conj(v)\n    return inner\n"
+        "def phases(m, d):\n    return np.exp(1j * np.pi * m / d) * np.conj(m)\n"
+    )
+    assert sorted(_vform_builders(source)) == ["build", "inner", "pair"]
+
+
+def test_one_package_function_builds_the_vform_from_angles():
+    package = Path(flatsic.search.__file__).parent
+    builders = [
+        (path.stem, name)
+        for path in sorted(package.glob("*.py"))
+        for name in _vform_builders(path.read_text(encoding="utf-8"))
+    ]
+    assert builders == [("ansatz", "_vform_array")]
