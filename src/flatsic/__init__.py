@@ -20,7 +20,6 @@ from .ansatz import (
     to_normalized,
     to_rescaled,
     to_vform,
-    vform_x_overlap_deviations,
     x_overlap_deviations,
     x_overlap_residual,
     z_overlap_residual,
@@ -36,9 +35,12 @@ from .legendre import (
     classification_csv_row,
     classify_legendre,
     legendre_symbol,
+    legendre_sweep,
     legendre_x1,
     lemma1_closed_form,
+    lemma1_deviation,
     perron_counts,
+    perron_table,
     primes_3mod4,
 )
 from .polysys import (
@@ -82,17 +84,13 @@ from .weyl import (
     FORMS,
     CVec,
     Dim,
-    PhaseConstants,
     apply_displacement,
     basis_vector,
     cvec,
-    dft,
     inner_product,
     is_prime,
     make_dimension,
     norm_tolerance,
-    omega_power,
-    phase_constants,
     tau_power,
 )
 

@@ -36,7 +36,6 @@ __all__ = [
     "z_overlap_residual",
     "x_overlap_residual",
     "x_overlap_deviations",
-    "vform_x_overlap_deviations",
     "displacement_row_identity",
     "ansatz_to_json",
     "ansatz_from_json",
@@ -212,9 +211,11 @@ def z_overlap_residual(psi: CVec) -> float:
 def x_overlap_deviations(psi: CVec) -> np.ndarray:
     """Per-index deviations |sqrt(d+1) <Psi|X^{-2j}|Psi> - psi_j^2/|psi_j|^2|.
 
-    Entry j-1 is the deviation at j, for j = 1..d-1.  Requires odd d; raises
-    if any component psi_j (j != 0) vanishes, since the right-hand side is
-    then undefined.
+    Entry j-1 is the deviation at j, for j = 1..d-1.  Every form is accepted
+    and normalized first; for the v-form v of a default-branch ansatz vector
+    the entries are |<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2| / (sqrt(d+1)+1).
+    Requires odd d; raises if any component psi_j (j != 0) vanishes, since
+    the right-hand side is then undefined.
     """
     _require_odd(psi.dim, "the X-overlap equation")
     unit, _ = _unit_components(psi)
@@ -232,29 +233,6 @@ def x_overlap_deviations(psi: CVec) -> np.ndarray:
 def x_overlap_residual(psi: CVec) -> float:
     """Max deviation from the X-overlap equation over j = 1..d-1."""
     return float(np.max(x_overlap_deviations(psi)))
-
-
-def vform_x_overlap_deviations(vec: CVec) -> np.ndarray:
-    """Per-index deviations |<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2| on a v-form
-    vector, j = 1..d-1.
-
-    Equivalent to the normalized-form deviations up to the constant factor
-    sqrt(d+1)+1.
-    """
-    _require_odd(vec.dim, "the X-overlap equation")
-    return np.abs(_vform_x_gaps(vec.components))
-
-
-def _vform_x_gaps(w: np.ndarray, spectrum=None, lags=None) -> np.ndarray:
-    """<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2 for j = 1..d-1 (odd d).
-
-    A caller that already holds fft(w) or the lags 2j mod d passes them in.
-    """
-    d = w.shape[0]
-    if lags is None:
-        lags = (2 * np.arange(1, d)) % d
-    s = math.sqrt(d + 1.0)
-    return autocorrelation(w, spectrum)[lags] - (s + 1.0) * w[1:] ** 2
 
 
 @dataclass(frozen=True)

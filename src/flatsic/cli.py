@@ -29,7 +29,7 @@ from .ansatz import (
 )
 from .polysys import build_system, export_system, system_manifest
 from .search import OBJECTIVES, SearchConfig, canonical_match, minimize, search_results_json
-from .vectorio import VectorFileError, dump_vector, parse_vector_file
+from .vectorio import dump_vector, parse_vector_file
 from .verify import (
     gik_residual,
     gik_table_csv,
@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     rep = _Reporter(args.porcelain, args.digits)
     try:
         return args.handler(args, rep)
-    except VectorFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # VectorFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ Nichtreste yields (p+1)/4 Reste and (p-3)/4 Nichtreste.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections.abc import Callable
@@ -29,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import verify
-from .ansatz import AnsatzVector, build_ansatz, to_normalized, to_vform, x_overlap_residual
+from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, to_vform, x_overlap_residual
 from .weyl import Dim, _as_dim, autocorrelation, is_prime, make_dimension
 
 __all__ = [
@@ -126,10 +125,6 @@ def perron_counts(p: Dim | int, a: int) -> PerronCounts:
     )
 
 
-def _sqrt_x0(d: int) -> complex:
-    return complex(cmath.sqrt(complex(-2.0 - math.sqrt(d + 1.0))))
-
-
 def legendre_x1(dim: Dim | int, beta_sign: int = +1) -> complex:
     """Closed-form unit phase solving the X-overlap equation for the
     Legendre pattern.
@@ -143,12 +138,12 @@ def legendre_x1(dim: Dim | int, beta_sign: int = +1) -> complex:
         raise ValueError(f"beta_sign must be +1 or -1, got {beta_sign}")
     d = dim.d
     s = math.sqrt(d + 1.0)
-    sx0 = _sqrt_x0(d)
+    x0, sx0 = _branch(d, ghost=False)
     if dim.mod8 == 3:
         beta = beta_sign * 1j * math.sqrt(s + 1.0)
         return complex((beta - 1.0) / sx0)
     beta = beta_sign * 1j * math.sqrt((d - 3.0) * (s + 1.0))
-    return complex((beta - (-2.0 - s)) / (s * sx0))
+    return complex((beta - x0) / (s * sx0))
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def lemma1_closed_form(dim: Dim | int, x1: complex, j_is_residue: bool) -> compl
     dim = _require_3mod4_prime(dim)
     d = dim.d
     z = complex(x1) if j_is_residue else -1.0 / complex(x1)
-    sx0 = _sqrt_x0(d)
+    _, sx0 = _branch(d, ghost=False)
     if dim.mod8 == 3:
         return complex(
             (d - 3) / 2.0

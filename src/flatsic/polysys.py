@@ -30,7 +30,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .weyl import Dim, _as_dim
+from .weyl import Dim, _as_dim, _check_integer
 
 __all__ = [
     "Poly",
@@ -128,9 +128,7 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
         raise ValueError(f"polynomial systems are built for odd d only, got d={d}")
     m = symmetry_multiplier
     if m is not None:
-        if isinstance(m, bool) or int(m) != m:
-            raise ValueError(f"symmetry multiplier must be an integer, got {m!r}")
-        m = int(m) % d
+        m = _check_integer(m, "symmetry multiplier") % d
         if math.gcd(m, d) != 1:
             raise ValueError(
                 f"symmetry multiplier must be coprime to d, got m={symmetry_multiplier}"

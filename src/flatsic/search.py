@@ -5,9 +5,9 @@ v-form), of the quartic SIC conditions, or of the naive shift-modulus
 conditions.  Each comes with its exact gradient in the free angles
 (objective_and_gradient), which the quasi-Newton minimizer uses; no finite
 differences are taken.  minimize evaluates them from one plan per search,
-which holds every constant that depends only on d.  Every restart draws its starting point from a
-generator seeded by (seed, restart_index), so runs are reproducible bit for
-bit and restarts could execute in any order.
+which holds every constant that depends only on d.  Every restart draws its
+starting point from a generator seeded by (seed, restart_index), so runs are
+reproducible bit for bit and restarts could execute in any order.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .ansatz import _branch, _vform_array, _vform_x_gaps, as_normalized, z_shift
+from .ansatz import _branch, _vform_array, as_normalized, z_shift
 from .verify import _check_tolerance, _naive_x_gaps
-from .weyl import CVec, Dim, _as_dim, _row_phases, autocorrelation, overlap_rows
+from .weyl import CVec, Dim, _as_dim, _check_integer, _row_phases, autocorrelation, overlap_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -56,25 +56,14 @@ class SearchConfig:
                 f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}"
             )
         for field in ("seed", "restarts", "max_iterations"):
-            value = getattr(self, field)
-            try:
-                integral = not isinstance(value, bool) and int(value) == value
-            except (TypeError, ValueError, OverflowError):  # None, non-numeric text, NaN, inf
-                integral = False
-            if not integral:
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-            object.__setattr__(self, field, int(value))
+            object.__setattr__(self, field, _check_integer(getattr(self, field), field))
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not 0.0 < self.convergence_threshold < np.inf:  # false for NaN too
-            raise ValueError(
-                "convergence threshold must be positive and finite, "
-                f"got {self.convergence_threshold}"
-            )
+        _check_tolerance(self.convergence_threshold, "convergence threshold")
 
 
 @dataclass(frozen=True)
@@ -116,12 +105,14 @@ def _plan(config: SearchConfig):
 
     if config.objective == "xoverlap":
         lags = (2 * np.arange(1, d)) % d
-        scale = 2.0 * (math.sqrt(d + 1.0) + 1.0)
+        s_plus_1 = math.sqrt(d + 1.0) + 1.0
+        scale = 2.0 * s_plus_1
 
         def xoverlap(angles):
             _, w = _vform_array(d, angles, sqrt_x0)
             spectrum = np.fft.fft(w)
-            gaps = _vform_x_gaps(w, spectrum, lags)  # gap j sits at lag 2j
+            # gap j, at lag 2j: <v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2
+            gaps = autocorrelation(w, spectrum)[lags] - s_plus_1 * w[1:] ** 2
             lagged = np.zeros(d, dtype=np.complex128)
             lagged[lags] = gaps
             grad = _lag_adjoint(spectrum, lagged)

@@ -204,9 +204,9 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     )
 
 
-def _check_tolerance(tol: float) -> float:
+def _check_tolerance(tol: float, name: str = "tolerance") -> float:
     if not 0.0 < tol < np.inf:  # false for NaN too
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
     return float(tol)
 
 

@@ -4,7 +4,7 @@ Conventions used throughout the package: the clock and shift operators act
 on length-d complex vectors as Z|r> = omega^r |r> and X|r> = |r+1> with
 omega = exp(2 pi i / d), indices modulo d.  Displacement unitaries are
 D_{j,k} = tau^{jk} X^j Z^k with tau = -exp(pi i / d).  Inner products
-conjugate the first argument.  The DFT kernel is omega^{+rs} / sqrt(d).
+conjugate the first argument.
 
 All operations are pure functions; vectors are immutable after construction.
 """
@@ -16,6 +16,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+#: The names flatsic re-exports.  The spectral kernel (autocorrelation,
+#: overlap_rows, gik_rows) is read by the other modules and not re-exported.
+__all__ = [
+    "FORMS",
+    "Dim",
+    "CVec",
+    "norm_tolerance",
+    "is_prime",
+    "make_dimension",
+    "tau_power",
+    "cvec",
+    "basis_vector",
+    "apply_displacement",
+    "inner_product",
+]
 
 #: Recognized vector forms.  "normalized" is a unit vector; "v-form" has
 #: first component sqrt(x0) and unit-modulus phases elsewhere; "rescaled"
@@ -65,11 +81,21 @@ class Dim:
     mod8: int
 
 
+def _check_integer(value, name: str) -> int:
+    """value as an int; a ValueError naming it for a bool or a non-integral
+    value, NaN, an infinity, None and text included."""
+    try:
+        integral = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, non-numeric text, NaN, inf
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_dimension(d: int) -> Dim:
     """Classify an integer dimension; rejects d < 2."""
-    if isinstance(d, bool) or int(d) != d:
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
+    d = _check_integer(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     n = None
@@ -89,29 +115,6 @@ def make_dimension(d: int) -> Dim:
 
 def _as_dim(dim: Dim | int) -> Dim:
     return dim if isinstance(dim, Dim) else make_dimension(dim)
-
-
-@dataclass(frozen=True)
-class PhaseConstants:
-    """omega = exp(2 pi i / d) and tau = -exp(pi i / d) for one dimension."""
-
-    d: int
-    omega: complex
-    tau: complex
-
-
-def phase_constants(dim: Dim | int) -> PhaseConstants:
-    d = _as_dim(dim).d
-    return PhaseConstants(
-        d=d,
-        omega=cmath.exp(2j * math.pi / d),
-        tau=-cmath.exp(1j * math.pi / d),
-    )
-
-
-def omega_power(d: int, m: int) -> complex:
-    """omega^m evaluated from the reduced exponent (no drift for large m)."""
-    return cmath.exp(2j * math.pi * (m % d) / d)
 
 
 def tau_power(d: int, m: int) -> complex:
@@ -203,16 +206,6 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
     if phi.dim.d != psi.dim.d:
         raise ValueError(f"dimension mismatch: {phi.dim.d} vs {psi.dim.d}")
     return complex(np.vdot(phi.components, psi.components))
-
-
-def dft(psi: CVec) -> CVec:
-    """Unitary DFT with kernel omega^{+rs} / sqrt(d).
-
-    Applying it twice reverses parity: component r maps to component -r mod d.
-    """
-    d = psi.dim.d
-    out = math.sqrt(d) * np.fft.ifft(psi.components)
-    return CVec(psi.dim, out, psi.form)
 
 
 # Spectral kernel.  Every displacement-overlap quantity of the package is read

@@ -14,6 +14,10 @@ QR7 = sorted({(k * k) % 7 for k in range(1, 7)})
 QR19 = sorted({(k * k) % 19 for k in range(1, 19)})
 QR67 = sorted({(k * k) % 67 for k in range(1, 67)})
 
+#: Inputs that are not integers, each of which an integer argument such as a
+#: dimension or a symmetry multiplier must reject with a ValueError.
+NON_INTEGERS = [True, False, 7.5, 2.5, float("nan"), float("inf"), -float("inf"), None]
+
 
 def d7_solution(beta_coeff: int) -> np.ndarray:
     """Rescaled dimension-7 solutions.

@@ -26,7 +26,6 @@ from flatsic import (
     to_normalized,
     to_rescaled,
     to_vform,
-    vform_x_overlap_deviations,
     x_overlap_deviations,
     x_overlap_residual,
     z_overlap_residual,
@@ -182,15 +181,17 @@ class TestXOverlap:
         assert flipped < 1e-11
 
     def test_vform_evaluation_matches(self):
-        # <v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2 equals the normalized-form
-        # deviation scaled by exactly sqrt(d+1)+1
+        # on the v-form, |<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2| equals the
+        # normalized-form deviation scaled by exactly sqrt(d+1)+1
         rng = np.random.default_rng(11)
         for d in (5, 7, 11):
             av = random_ansatz(rng, d)
-            dev_v = vform_x_overlap_deviations(to_vform(av))
-            dev_n = x_overlap_deviations(to_normalized(av))
+            w = to_vform(av).components
+            c = np.array([np.vdot(w, np.roll(w, (-2 * j) % d)) for j in range(1, d)])
             s = math.sqrt(d + 1.0)
-            assert_allclose(dev_v, (s + 1.0) * dev_n, atol=1e-12)
+            dev_v = np.abs(c - (s + 1.0) * w[1:] ** 2)
+            assert_allclose(dev_v, (s + 1.0) * x_overlap_deviations(to_vform(av)), atol=1e-12)
+            assert_allclose(dev_v, (s + 1.0) * x_overlap_deviations(to_normalized(av)), atol=1e-12)
 
 
 class TestZShift:

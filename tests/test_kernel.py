@@ -38,7 +38,6 @@ from flatsic import (
     to_normalized,
     to_rescaled,
     to_vform,
-    vform_x_overlap_deviations,
     x_overlap_deviations,
     x_overlap_residual,
 )
@@ -129,15 +128,19 @@ def test_x_overlap_deviations_match_roll_loop(vec):
     assert_allclose(x_overlap_deviations(vec), expect, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("vec", ODD)
-def test_vform_x_overlap_deviations_match_roll_loop(vec):
-    w = vec.components
-    d = vec.d
+@pytest.mark.parametrize("d", [7, 45])
+def test_xoverlap_objective_matches_roll_loop(d):
+    rng = np.random.default_rng(800 + d)
+    cfg = SearchConfig(dim=make_dimension(d), objective="xoverlap", seed=0)
     s = math.sqrt(d + 1.0)
-    expect = [
-        abs(np.vdot(w, np.roll(w, (-2 * j) % d)) - (s + 1.0) * w[j] ** 2) for j in range(1, d)
-    ]
-    assert_allclose(vform_x_overlap_deviations(vec), expect, rtol=0, atol=TOL)
+    for _ in range(3):
+        angles = rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2)
+        w = to_vform(build_ansatz(d, angles)).components
+        expect = sum(
+            abs(np.vdot(w, np.roll(w, (-2 * j) % d)) - (s + 1.0) * w[j] ** 2) ** 2
+            for j in range(1, d)
+        )
+        assert objective(cfg, angles) == pytest.approx(expect, rel=TOL)
 
 
 @pytest.mark.parametrize("vec", ODD)

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import d7_solution, d19_solution, d67_solution, normalize_rescaled, random_complex
+from helpers import (
+    NON_INTEGERS,
+    d7_solution,
+    d19_solution,
+    d67_solution,
+    normalize_rescaled,
+    random_complex,
+)
 
 from flatsic import (
     PolySystem,
@@ -109,7 +116,8 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(9, symmetry_multiplier=3)
 
-    @pytest.mark.parametrize("bad", [True, False, 7.5, 2.5])
+    # None is the default, no symmetry
+    @pytest.mark.parametrize("bad", [b for b in NON_INTEGERS if b is not None])
     def test_non_integral_multiplier(self, bad):
         with pytest.raises(ValueError, match="must be an integer"):
             build_system(7, symmetry_multiplier=bad)

@@ -20,7 +20,7 @@ from flatsic import (
     sic_residual,
     to_normalized,
     to_vform,
-    vform_x_overlap_deviations,
+    x_overlap_deviations,
     z_shift,
 )
 
@@ -118,15 +118,15 @@ class TestObjective:
         assert objective(config(7, obj="naive_x"), catalog_angles(7, +1)) < 1e-20
 
     def test_xoverlap_consistency_with_residual_machinery(self):
-        # objective equals the sum of squared v-form deviations computed by
-        # the verification path
+        # objective equals the sum of squared v-form deviations: the
+        # verification path's deviations scaled by sqrt(d+1)+1
         rng = np.random.default_rng(3)
         cfg = config(7)
         from flatsic import build_ansatz
 
         for _ in range(20):
             angles = rng.uniform(0, 2 * np.pi, 3)
-            devs = vform_x_overlap_deviations(to_vform(build_ansatz(7, angles)))
+            devs = (np.sqrt(8.0) + 1.0) * x_overlap_deviations(to_vform(build_ansatz(7, angles)))
             expect = float(np.sum(devs**2))
             got = objective(cfg, angles)
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-30)

@@ -1,8 +1,11 @@
 """Structural guards on the package source."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
+import flatsic
 import flatsic.cli
 import flatsic.legendre
 import flatsic.polysys
@@ -258,3 +261,46 @@ def test_one_package_function_builds_the_vform_from_angles():
         for name in _vform_builders(path.read_text(encoding="utf-8"))
     ]
     assert builders == [("ansatz", "_vform_array")]
+
+
+_PACKAGE = Path(flatsic.__file__).parent
+
+#: The library modules: every module of the package except the CLI.
+_LIBRARY = [
+    importlib.import_module(f"flatsic.{path.stem}")
+    for path in sorted(_PACKAGE.glob("*.py"))
+    if path.stem not in ("__init__", "cli")
+]
+
+
+def test_package_exports_exactly_the_module_public_names():
+    exported = {
+        name
+        for name, value in vars(flatsic).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    declared = set().union(*(module.__all__ for module in _LIBRARY))
+    assert exported == declared
+
+
+def test_only_ansatz_takes_the_square_root_of_x0():
+    callers = [
+        path.stem
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if "cmath.sqrt" in _called_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert callers == ["ansatz"]
+
+
+def test_second_paths_stay_removed():
+    removed = {
+        "dft",
+        "omega_power",
+        "phase_constants",
+        "PhaseConstants",
+        "vform_x_overlap_deviations",
+        "_vform_x_gaps",
+        "_sqrt_x0",
+    }
+    for namespace in (flatsic, *_LIBRARY):
+        assert not removed & set(vars(namespace)), namespace.__name__

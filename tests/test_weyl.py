@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import displacement_matrix, random_unit
+from helpers import NON_INTEGERS, displacement_matrix, random_unit
 from numpy.testing import assert_allclose
 
 from flatsic import (
@@ -10,10 +10,8 @@ from flatsic import (
     apply_displacement,
     basis_vector,
     cvec,
-    dft,
     inner_product,
     make_dimension,
-    phase_constants,
     tau_power,
 )
 
@@ -46,9 +44,10 @@ class TestMakeDimension:
         with pytest.raises(ValueError):
             make_dimension(bad)
 
-    def test_non_integer(self):
-        with pytest.raises(ValueError):
-            make_dimension(7.5)
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_non_integer(self, bad):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            make_dimension(bad)
 
 
 class TestIsPrime:
@@ -69,26 +68,11 @@ class TestIsPrime:
 
 
 class TestPhaseConstants:
-    @pytest.mark.parametrize("d", [2, 3, 5, 7, 19, 199])
-    def test_identities(self, d):
-        pc = phase_constants(d)
-        assert abs(pc.omega**d - 1) < 1e-12
-        assert abs(pc.tau**2 - pc.omega) < 1e-12
-        assert abs(pc.tau ** (d * d) - 1) < 1e-10
-
     def test_tau_power_reduction(self):
         d = 7
-        pc = phase_constants(d)
+        tau = -np.exp(1j * np.pi / d)
         for m in (-5, 0, 3, 13, 10**9 + 7):
-            assert abs(tau_power(d, m) - pc.tau ** (m % (2 * d))) < 1e-12
-
-    def test_omega_power_reduction(self):
-        from flatsic import omega_power
-
-        d = 7
-        pc = phase_constants(d)
-        for m in (-3, 0, 5, 10**9 + 7):
-            assert abs(omega_power(d, m) - pc.omega ** (m % d)) < 1e-12
+            assert abs(tau_power(d, m) - tau ** (m % (2 * d))) < 1e-12
 
 
 class TestCVec:
@@ -199,35 +183,8 @@ class TestInnerProduct:
         assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-13)
 
 
-class TestDft:
-    def test_basis_to_flat(self):
-        d = 5
-        out = dft(basis_vector(d, 0))
-        assert_allclose(out.components, np.ones(d) / np.sqrt(d), atol=1e-14)
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 13])
-    def test_unitary(self, d):
-        rng = np.random.default_rng(d)
-        psi = random_unit(rng, d)
-        assert abs(np.linalg.norm(dft(psi).components) - 1.0) < 1e-13
-
-    @pytest.mark.parametrize("d", [3, 4, 7])
-    def test_double_is_parity(self, d):
-        # oracle: double application on every basis vector
-        for r in range(d):
-            twice = dft(dft(basis_vector(d, r)))
-            assert_allclose(
-                twice.components, basis_vector(d, (-r) % d).components, atol=1e-13
-            )
-
-    @pytest.mark.parametrize("d", [2, 5, 8])
-    def test_matches_kernel_matrix(self, d):
-        rng = np.random.default_rng(2 * d)
-        psi = random_unit(rng, d)
-        kernel = np.exp(
-            2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d
-        ) / np.sqrt(d)
-        assert_allclose(dft(psi).components, kernel @ psi.components, atol=1e-13)
+class TestRealPreimage:
+    """Preimages under the DFT kernel omega^{+rs} / sqrt(d), built here."""
 
     def test_d7_fiducial_has_real_preimage(self):
         # exploratory fact, frozen: in this kernel convention the d=7
