@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import CVec, Dim, _as_dim, _carray, autocorrelation, overlap_rows
+from .weyl import CVec, Dim, _as_dim, _carray, autocorrelation, clock_shift_rows, overlap_rows
 
 __all__ = [
     "AnsatzVector",
@@ -82,8 +82,6 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     dim = _as_dim(dim)
     _require_odd(dim, "the almost-flat ansatz")
     d = dim.d
-    if d < 3:
-        raise ValueError(f"the almost-flat ansatz requires d >= 3, got {d}")
     x0, sqrt_x0 = _branch(d, ghost)
     ang, w = _vform_array(d, angles, sqrt_x0)
     ang = ang.copy()
@@ -204,7 +202,7 @@ def z_overlap_residual(psi: CVec) -> float:
     """
     unit, _ = _unit_components(psi)
     s = math.sqrt(unit.shape[0] + 1.0)
-    vals = overlap_rows(unit, [0])[0]  # row j = 0: <Psi|Z^k|Psi>
+    vals = clock_shift_rows(unit, [0])[0]  # row j = 0: <Psi|Z^k|Psi>
     return float(np.max(np.abs(s * vals[1:] - 1.0)))
 
 

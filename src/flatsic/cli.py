@@ -70,6 +70,11 @@ def _load_vector(path: str):
     return parse_vector_file(Path(path).read_text(encoding="utf-8"))
 
 
+def _write_vector(path: str, psi, label: str, rep: _Reporter) -> None:
+    Path(path).write_text(dump_vector(psi, label=label, source="flatsic") + "\n", encoding="utf-8")
+    rep.kv("out", path)
+
+
 def _parse_angles(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
@@ -100,11 +105,7 @@ def _cmd_legendre(args, rep: _Reporter) -> int:
     rep.kv("sic_residual", rep.num(report.max_modulus_deviation))
     rep.kv("is_sic", str(report.is_sic).lower())
     if args.out:
-        label = f"legendre d={vec.dim.d} beta_sign={args.sign}"
-        Path(args.out).write_text(
-            dump_vector(psi, label=label, source="flatsic") + "\n", encoding="utf-8"
-        )
-        rep.kv("out", args.out)
+        _write_vector(args.out, psi, f"legendre d={vec.dim.d} beta_sign={args.sign}", rep)
     return 0
 
 
@@ -117,11 +118,7 @@ def _cmd_ansatz_build(args, rep: _Reporter) -> int:
     rep.kv("x0", rep.num(av.x0))
     rep.kv("z_overlap_residual", rep.num(z_overlap_residual(psi)))
     if args.out:
-        label = f"ansatz d={av.dim.d} ghost={av.ghost}"
-        Path(args.out).write_text(
-            dump_vector(psi, label=label, source="flatsic") + "\n", encoding="utf-8"
-        )
-        rep.kv("out", args.out)
+        _write_vector(args.out, psi, f"ansatz d={av.dim.d} ghost={av.ghost}", rep)
     return 0
 
 
@@ -133,7 +130,7 @@ def _cmd_verify(args, rep: _Reporter) -> int:
     rep.kv("z_overlap_residual", rep.num(z_overlap_residual(vec)))
     x_res: float | None
     try:
-        x_res = float(np.max(x_overlap_deviations(vec)))
+        x_res = x_overlap_residual(vec)
         rep.kv("x_overlap_residual", rep.num(x_res))
     except DegenerateComponentError:
         x_res = None

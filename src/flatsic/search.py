@@ -21,7 +21,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .ansatz import _branch, _vform_array, as_normalized, z_shift
 from .verify import _check_tolerance, _naive_x_gaps
-from .weyl import CVec, Dim, _as_dim, _check_integer, _row_phases, autocorrelation, overlap_rows
+from .weyl import CVec, Dim, _as_dim, _check_integer, autocorrelation, clock_shift_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -63,7 +63,8 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        _check_tolerance(self.convergence_threshold, "convergence threshold")
+        threshold = _check_tolerance(self.convergence_threshold, "convergence threshold")
+        object.__setattr__(self, "convergence_threshold", threshold)
 
 
 @dataclass(frozen=True)
@@ -138,21 +139,20 @@ def _plan(config: SearchConfig):
         return naive_x
 
     # sic: by Parseval over k, sum_ik |G(i,k) - target|^2 = (1/d) sum_ij E_ij^2 with
-    # E_ij = |O_ij|^2 - t_ij, O the overlap table, t_00 = 1 and t_ij = 1/(d+1)
-    # elsewhere.  (D_ij w)_q = tau^{-ij} omega^{jq} w_{q-i}, so the gradient
-    # (4/d) sum_ij E_ij conj(O_ij) (D_ij w)_q is one inverse FFT per row.
+    # E_ij = |C_ij|^2 - t_ij, C_ij = <w|Z^j X^i|w> the clock-shift rows (the
+    # overlaps up to a unit phase), t_00 = 1 and t_ij = 1/(d+1) elsewhere.
+    # (Z^j X^i w)_q = omega^{jq} w_{q-i}, so the gradient
+    # (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse FFT per row.
     indices = np.arange(d)
-    rows = indices[:, None]
     target = np.full((d, d), 1.0 / (d + 1.0))
     target[0, 0] = 1.0
-    phases = _row_phases(d, rows)
-    shifted = (rows.T - rows) % d  # [i, q] -> q - i
+    shifted = (indices - indices[:, None]) % d  # [i, q] -> q - i
 
     def sic(angles):
         w = unit_vector(angles)
-        table = overlap_rows(w, indices)
+        table = clock_shift_rows(w, indices)
         gaps = np.abs(table) ** 2 - target
-        spectra = np.fft.ifft(gaps * np.conj(table) * phases, axis=1)
+        spectra = np.fft.ifft(gaps * np.conj(table), axis=1)
         grad = 4.0 * np.sum(w[shifted] * spectra, axis=0)
         return float(np.sum(gaps**2) / d), _angle_gradient(w, grad, pos, neg)
 

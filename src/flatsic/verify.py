@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import _unit_components
-from .weyl import CVec, Dim, _carray, autocorrelation, gik_rows, overlap_rows
+from .weyl import CVec, Dim, _carray, autocorrelation, clock_shift_rows, overlap_rows
 
 __all__ = [
     "OverlapTable",
@@ -78,14 +79,14 @@ def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
     maxima, pairs, gik = [], [], []
     for start in range(0, d, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, d))
-        moduli_sq = np.abs(overlap_rows(unit, rows)) ** 2
+        moduli_sq = np.abs(clock_shift_rows(unit, rows)) ** 2
         dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
         if start == 0:
             dev[0, 0] = 0.0
         flat = int(np.argmax(dev))
         maxima.append(dev.flat[flat])
         pairs.append((start + flat // d, flat % d))
-        # G rows from the same moduli, as gik_rows computes them
+        # G rows from the same moduli, as gik_table computes them
         gik.append(np.abs(_gik_gaps(rows, np.fft.ifft(moduli_sq))).max())
     worst = int(np.argmax(maxima))
     return float(maxima[worst]), pairs[worst], float(np.max(gik))
@@ -143,9 +144,13 @@ def gik_residual(psi: CVec) -> float:
 
 
 def gik_table(psi: CVec) -> np.ndarray:
-    """The full d x d table of G(i,k) values for the normalized vector."""
+    """The full d x d table of G(i,k) values for the normalized vector.
+
+    Row i is (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2 (the identity
+    gik_fourier evaluates), the inverse FFT of squared clock-shift moduli.
+    """
     unit, _ = _unit_components(psi)
-    table = gik_rows(unit, np.arange(unit.shape[0]))
+    table = np.fft.ifft(np.abs(clock_shift_rows(unit, np.arange(unit.shape[0]))) ** 2)
     table.setflags(write=False)
     return table
 
@@ -205,7 +210,10 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
 
 
 def _check_tolerance(tol: float, name: str = "tolerance") -> float:
-    if not 0.0 < tol < np.inf:  # false for NaN too
+    """tol as a float in (0, inf); a ValueError naming it for anything else,
+    a bool, NaN, None, text and a complex value included."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and 0.0 < tol < np.inf):  # false for NaN too
         raise ValueError(f"{name} must be positive and finite, got {tol}")
     return float(tol)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 #: The names flatsic re-exports.  The spectral kernel (autocorrelation,
-#: overlap_rows, gik_rows) is read by the other modules and not re-exported.
+#: clock_shift_rows, overlap_rows) is read by the other modules and not
+#: re-exported.
 __all__ = [
     "FORMS",
     "Dim",
@@ -225,33 +226,28 @@ def autocorrelation(arr, spectrum=None) -> np.ndarray:
     return np.fft.ifft(np.abs(spectrum) ** 2)
 
 
-def overlap_rows(psi, rows) -> np.ndarray:
-    """<psi|D_{j,k}|psi> for every j in rows and every k, shape (len(rows), d).
+def clock_shift_rows(psi, rows) -> np.ndarray:
+    """<psi|Z^k X^j|psi> for every j in rows and every k, shape (len(rows), d).
 
-    With a_j = conj(psi) * X^j psi, row j is d * ifft(a_j) times
-    tau^{jk} omega^{-jk} = tau^{-jk}, the exponent reduced mod 2d as in
-    tau_power.  No normalization is applied.
+    Row j is d * ifft(conj(psi) * X^j psi).  These rows carry no tau phase,
+    so the squared overlap moduli and G(i,k) are read from them.  No
+    normalization is applied.
     """
     arr = _carray(psi)
     d = arr.shape[0]
-    r = np.arange(d)
     j = np.asarray(rows, dtype=np.int64)[:, None] % d
-    a = np.conj(arr) * arr[(r - j) % d]
-    return d * np.fft.ifft(a) * _row_phases(d, j)
+    return d * np.fft.ifft(np.conj(arr) * arr[(np.arange(d) - j) % d])
 
 
-def _row_phases(d: int, j: np.ndarray) -> np.ndarray:
-    """tau^{-jk} for each row j of a column array and every k, the phase
-    that turns d * ifft(conj(psi) * X^j psi) into overlap row j."""
-    m = (-j * np.arange(d)) % (2 * d)
-    return np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
+def overlap_rows(psi, rows) -> np.ndarray:
+    """<psi|D_{j,k}|psi> for every j in rows and every k, shape (len(rows), d).
 
-
-def gik_rows(psi, rows) -> np.ndarray:
-    """G(i,k) for every i in rows and every k, shape (len(rows), d).
-
-    Row i is (1/d) sum_j omega^{kj} |<psi|D_{i,j}|psi>|^2 (the identity
-    gik_fourier evaluates), the inverse FFT of the squared moduli of overlap
-    row i.  No normalization is applied.
+    D_{j,k} = tau^{-jk} Z^k X^j, so row j is clock_shift_rows row j times
+    tau^{-jk}, the exponent reduced mod 2d as in tau_power.  The only place
+    the tau convention enters a table.  No normalization is applied.
     """
-    return np.fft.ifft(np.abs(overlap_rows(psi, rows)) ** 2)
+    d = _carray(psi).shape[0]
+    j = np.asarray(rows, dtype=np.int64)[:, None] % d
+    m = (-j * np.arange(d)) % (2 * d)
+    phases = np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
+    return clock_shift_rows(psi, rows) * phases

@@ -18,6 +18,10 @@ QR67 = sorted({(k * k) % 67 for k in range(1, 67)})
 #: dimension or a symmetry multiplier must reject with a ValueError.
 NON_INTEGERS = [True, False, 7.5, 2.5, float("nan"), float("inf"), -float("inf"), None]
 
+#: Tolerances that are not real numbers, each of which a tolerance argument
+#: must reject with a ValueError naming it (None where it is not the default).
+NON_REAL_TOLERANCES = [True, np.True_, "1e-3", 1e-3 + 0j]
+
 
 def d7_solution(beta_coeff: int) -> np.ndarray:
     """Rescaled dimension-7 solutions.

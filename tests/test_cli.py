@@ -407,8 +407,8 @@ class TestSearchMatch:
             ),
             (
                 ("--d", "7", "--objective", "sic", "--seed", "5", "--restarts", "5"),
-                "4d9883e83af00152b601ba22a2c338f99c8d923423221b1fb4a641f4766ba51f",
-                "15278a1ba4085dea789faaffce66b722e3394295964a662db677279adddb90d5",
+                "ce13822ec43d41b17d372366a69ef494239c46d9f6f38b5fcc1950f78c697220",
+                "5bf63ed91d38c8955317ca5376beb78bd0710846f8d2ff464f64efa3b629813f",
             ),
             (
                 ("--d", "19", "--objective", "xoverlap", "--seed", "7", "--restarts", "5"),
@@ -420,8 +420,10 @@ class TestSearchMatch:
     def test_search_outputs_are_pinned(
         self, capsys, tmp_path, monkeypatch, argv, stdout_digest, out_digest
     ):
-        # digests of the outputs of the searches that evaluated each objective
-        # through an AnsatzVector per call; a relative --out keeps stdout fixed
+        # digests of the search outputs: xoverlap and naive_x as pinned when each
+        # objective was evaluated through an AnsatzVector per call, sic as the
+        # objective reads the phase-free clock-shift rows; a relative --out
+        # keeps stdout fixed
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, "--porcelain", "search", *argv, "--out", "res.json")
         assert code == 0

@@ -35,6 +35,7 @@ from flatsic import (
     overlap_table,
     perron_counts,
     sic_residual,
+    tau_power,
     to_normalized,
     to_rescaled,
     to_vform,
@@ -42,6 +43,7 @@ from flatsic import (
     x_overlap_residual,
 )
 from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
+from flatsic.weyl import clock_shift_rows, overlap_rows
 
 TOL = 1e-12
 
@@ -61,7 +63,10 @@ def _inputs(d):
     return cases
 
 
-ALL = [pytest.param(v, id=f"d{v.d}-{name}") for d in (7, 12, 45) for name, v in _inputs(d)]
+# the even dimensions are there because overlap_table serves even d too
+ALL = [
+    pytest.param(v, id=f"d{v.d}-{name}") for d in (3, 6, 7, 12, 45) for name, v in _inputs(d)
+]
 ODD = [p for p in ALL if p.values[0].d % 2]
 
 
@@ -106,6 +111,17 @@ def test_overlap_table_matches_displacement_oracle(vec):
     expect = _oracle_overlaps(_unit(vec))
     assert_allclose(overlap_table(vec).entries, expect, rtol=0, atol=TOL)
     assert sic_residual(vec) == pytest.approx(_sic_deviations(expect).max(), abs=TOL)
+
+
+@pytest.mark.parametrize("vec", ALL)
+def test_clock_shift_rows_are_the_overlap_rows_without_tau(vec):
+    unit = _unit(vec)
+    d = vec.d
+    rows = clock_shift_rows(unit, np.arange(d))
+    moduli_sq = np.abs(_oracle_overlaps(unit)) ** 2
+    assert_allclose(np.abs(rows) ** 2, moduli_sq, rtol=0, atol=TOL)
+    tau = np.array([[tau_power(d, -j * k) for k in range(d)] for j in range(d)])
+    assert_allclose(overlap_rows(unit, np.arange(d)), rows * tau, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("vec", ALL)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import QR7, QR67, d7_solution, d19_solution, d67_solution
+from helpers import NON_REAL_TOLERANCES, QR7, QR67, d7_solution, d19_solution, d67_solution
 from numpy.testing import assert_allclose
 
 from flatsic import (
@@ -285,7 +285,7 @@ class TestClassify:
             assert branch.is_sic == report.is_sic
             assert c.tolerance == report.tolerance_used
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, *NON_REAL_TOLERANCES])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             classify_legendre(7, tol=tol)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import d7_solution, normalize_rescaled
+from helpers import NON_REAL_TOLERANCES, d7_solution, normalize_rescaled
 
 from flatsic import (
     SearchConfig,
@@ -55,6 +55,7 @@ class TestConfig:
             ("convergence_threshold", float("nan")),
             ("convergence_threshold", float("inf")),
             ("convergence_threshold", -float("inf")),
+            *[("convergence_threshold", t) for t in (None, *NON_REAL_TOLERANCES)],
             ("max_iterations", 0),
             ("max_iterations", -1),
             ("max_iterations", 2.5),
@@ -68,6 +69,12 @@ class TestConfig:
     def test_rejects_non_finite_threshold_and_iteration_cap_below_one(self, field, value):
         with pytest.raises(ValueError, match=field.split("_")[0]):
             config(7, **{field: value})
+
+    def test_stores_threshold_as_float(self):
+        cfg = config(7, restarts=1, convergence_threshold=np.float32(0.5))
+        assert type(cfg.convergence_threshold) is float
+        assert cfg.convergence_threshold == 0.5
+        assert json.loads(search_results_json(cfg, []))["config"]["convergence_threshold"] == 0.5
 
     def test_no_gradient_step_setting(self):
         with pytest.raises(TypeError):
@@ -278,7 +285,7 @@ class TestCanonicalMatch:
         b = normalize_rescaled(d7_solution(+1))
         assert not canonical_match(a, b, tol=1e-6)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), None, *NON_REAL_TOLERANCES])
     def test_rejects_bad_tolerance(self, tol):
         psi = normalize_rescaled(d7_solution(-1))
         with pytest.raises(ValueError, match="tolerance"):

@@ -301,6 +301,8 @@ def test_second_paths_stay_removed():
         "vform_x_overlap_deviations",
         "_vform_x_gaps",
         "_sqrt_x0",
+        "_row_phases",
+        "gik_rows",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__

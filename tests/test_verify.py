@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    NON_REAL_TOLERANCES,
     d7_solution,
     d19_solution,
     d67_solution,
@@ -202,7 +203,7 @@ class TestIsSic:
         with pytest.raises(ValueError):
             is_sic(D3_FIDUCIAL, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, *NON_REAL_TOLERANCES])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             is_sic(D3_FIDUCIAL, tol=tol)
