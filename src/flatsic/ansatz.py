@@ -21,7 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import CVec, Dim, _as_dim, _carray, autocorrelation, clock_shift_rows, overlap_rows
+from .vectorio import _rescaled_x0
+from .weyl import (
+    CVec,
+    Dim,
+    _carray,
+    _odd_dim,
+    apply_displacement,
+    autocorrelation,
+    clock_shift_rows,
+    overlap_rows,
+)
 
 __all__ = [
     "AnsatzVector",
@@ -68,19 +78,13 @@ class AnsatzVector:
         return self.dim.d
 
 
-def _require_odd(dim: Dim, what: str) -> None:
-    if not dim.is_odd:
-        raise ValueError(f"{what} requires odd dimension, got d={dim.d}")
-
-
 def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     """Build an ansatz vector from its (d-1)/2 free angles (radians).
 
     Raises for even d, for a wrong angle count and for a non-finite angle.
     ghost=True selects the x0 = -2 + sqrt(d+1) branch.
     """
-    dim = _as_dim(dim)
-    _require_odd(dim, "the almost-flat ansatz")
+    dim = _odd_dim(dim)
     d = dim.d
     x0, sqrt_x0 = _branch(d, ghost)
     ang, w = _vform_array(d, angles, sqrt_x0)
@@ -161,14 +165,7 @@ def _unit_components(vec: CVec) -> tuple[np.ndarray, float]:
     """
     arr = vec.components
     if vec.form == "rescaled":
-        c0 = complex(arr[0])
-        if abs(c0.imag) > 1e-9 * (1.0 + abs(c0)):
-            raise ValueError(
-                f"rescaled vector must have a real first component, got {c0!r}"
-            )
-        if c0.real == 0.0:
-            raise ValueError("rescaled vector has zero first component")
-        arr = arr / cmath.sqrt(complex(c0.real))
+        arr = arr / cmath.sqrt(complex(_rescaled_x0(arr[0])))
     nrm = float(np.linalg.norm(arr))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -182,16 +179,12 @@ def as_normalized(vec: CVec) -> CVec:
 
 
 def z_shift(psi: CVec, k: int) -> CVec:
-    """Apply Z^k: component r is multiplied by omega^{kr}.
+    """Apply Z^k = D_{0,k}: component r is multiplied by omega^{kr}.
 
     All three form tags are preserved: component 0 is untouched and all
     moduli are unchanged.
     """
-    d = psi.dim.d
-    k %= d
-    r = np.arange(d)
-    out = psi.components * np.exp(2j * np.pi * ((k * r) % d) / d)
-    return CVec(psi.dim, out, psi.form)
+    return apply_displacement(psi, 0, k)
 
 
 def z_overlap_residual(psi: CVec) -> float:
@@ -215,7 +208,7 @@ def x_overlap_deviations(psi: CVec) -> np.ndarray:
     Requires odd d; raises if any component psi_j (j != 0) vanishes, since
     the right-hand side is then undefined.
     """
-    _require_odd(psi.dim, "the X-overlap equation")
+    _odd_dim(psi.dim)
     unit, _ = _unit_components(psi)
     d = unit.shape[0]
     if np.any(unit[1:] == 0):
@@ -253,9 +246,7 @@ def displacement_row_identity(psi, j: int) -> IdentityReport:
     array.
     """
     arr = _carray(psi)
-    d = arr.shape[0]
-    if d % 2 == 0:
-        raise ValueError(f"the row identity requires odd dimension, got d={d}")
+    d = _odd_dim(arr.shape[0]).d
     # k = 0 contributes the bare <Psi|X^{-2j}|Psi> term
     lhs = complex(np.sum(overlap_rows(arr, [-2 * j])))
     rhs = d * np.conj(arr[(-j) % d]) * arr[j % d]

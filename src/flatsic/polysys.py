@@ -30,7 +30,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .weyl import Dim, _as_dim, _check_integer
+from .weyl import Dim, _as_dim, _check_integer, _odd_dim
 
 __all__ = [
     "Poly",
@@ -122,10 +122,8 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
 
     Requires odd d; a symmetry multiplier must be coprime to d.
     """
-    dim = _as_dim(dim)
+    dim = _odd_dim(dim)
     d = dim.d
-    if not dim.is_odd:
-        raise ValueError(f"polynomial systems are built for odd d only, got d={d}")
     m = symmetry_multiplier
     if m is not None:
         m = _check_integer(m, "symmetry multiplier") % d
@@ -159,10 +157,6 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
 def eval_system(system: PolySystem, point) -> list[float]:
     """Residual moduli |p(point)| of every generator, double precision."""
     pt = np.asarray(point, dtype=np.complex128)
-    if pt.shape != (system.dim.d,):
-        raise ValueError(
-            f"expected a point of length {system.dim.d}, got shape {pt.shape}"
-        )
     return [abs(p.evaluate(pt)) for p in system.polys]
 
 
@@ -187,8 +181,6 @@ def check_d7_component_basis(point) -> float:
     """Max residual modulus of the seven hard-coded d=7 component-basis
     polynomials at a rescaled point of length 7."""
     pt = np.asarray(point, dtype=np.complex128)
-    if pt.shape != (7,):
-        raise ValueError(f"expected a point of length 7, got shape {pt.shape}")
     return max(abs(p.evaluate(pt)) for p in _D7_BASIS)
 
 

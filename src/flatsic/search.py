@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .ansatz import _branch, _vform_array, as_normalized, z_shift
 from .verify import _check_tolerance, _naive_x_gaps
-from .weyl import CVec, Dim, _as_dim, _check_integer, autocorrelation, clock_shift_rows
+from .weyl import CVec, Dim, _check_integer, _odd_dim, autocorrelation, clock_shift_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -48,9 +47,7 @@ class SearchConfig:
     convergence_threshold: float = 1e-16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _as_dim(self.dim))
-        if not self.dim.is_odd:
-            raise ValueError(f"search requires odd dimension, got d={self.dim.d}")
+        object.__setattr__(self, "dim", _odd_dim(self.dim))
         if self.objective not in OBJECTIVES:
             raise ValueError(
                 f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}"
@@ -192,6 +189,9 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
     Results are sorted by (objective_value, restart_index); non-convergent
     restarts are kept, flagged converged=False.
     """
+    # imported here, not at module level: no other part of flatsic needs scipy
+    from scipy.optimize import minimize as _scipy_minimize
+
     half = (config.dim.d - 1) // 2
     f = _plan(config)
     results = []
@@ -240,10 +240,10 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     if anchors.size == 0:
         raise ValueError("cannot match against a zero vector")
     i0 = int(anchors[0])
+    if abs(ua.components[i0]) < 1e-12:  # |(Z^k a)_i0| = |a_i0| for every k
+        return False
     for k in range(d):
         za = z_shift(ua, k).components
-        if abs(za[i0]) < 1e-12:
-            continue
         phase = za[i0] / ub[i0]
         phase /= abs(phase)
         if np.linalg.norm(za - phase * ub) < tol:

@@ -12,18 +12,19 @@ import json
 
 import numpy as np
 
-from .weyl import FORMS, CVec, cvec, norm_tolerance
+from .weyl import FORMS, CVec, cvec
 
 __all__ = ["VectorFileError", "parse_vector_file", "dump_vector"]
 
-#: Load-time slack for the O(d)-scaled v-form/rescaled modulus invariants;
-#: user files carry limited digits.  Normalized vectors are held to the
-#: package-wide norm tolerance instead.
+#: Slack for the v-form and rescaled invariants, on load and (for the
+#: rescaled first component) on conversion; user files carry limited digits.
+#: Normalized vectors are held to the package-wide norm tolerance by CVec.
 _LOAD_TOL = 1e-6
 
 
 class VectorFileError(ValueError):
-    """Raised for malformed or invariant-violating vector files."""
+    """Raised for malformed vector files and for vectors that break a form
+    invariant."""
 
     def __init__(self, message: str, invariant: str | None = None):
         if invariant:
@@ -76,18 +77,12 @@ def parse_vector_file(text: str) -> CVec:
     _check_form(d, form, arr)
     try:
         return cvec(arr, form)
-    except ValueError as exc:
-        raise VectorFileError(str(exc), invariant=f"{form}-form") from exc
+    except ValueError as exc:  # the unit norm that CVec checks for the normalized form
+        raise VectorFileError(str(exc), invariant="normalized-norm") from exc
 
 
 def _check_form(d: int, form: str, arr: np.ndarray) -> None:
-    if form == "normalized":
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > norm_tolerance(d):
-            raise VectorFileError(
-                f"normalized vector has norm {nrm:.6g}", invariant="normalized-norm"
-            )
-    elif form == "v-form":
+    if form == "v-form":
         moduli = np.abs(arr[1:])
         if np.any(np.abs(moduli - 1.0) > _LOAD_TOL):
             raise VectorFileError(
@@ -100,12 +95,7 @@ def _check_form(d: int, form: str, arr: np.ndarray) -> None:
                 invariant="vform-first-component",
             )
     elif form == "rescaled":
-        c0 = complex(arr[0])
-        if abs(c0.imag) > _LOAD_TOL * (1.0 + abs(c0)):
-            raise VectorFileError(
-                "rescaled first component must be real", invariant="rescaled-x0-real"
-            )
-        x0 = c0.real
+        x0 = _rescaled_x0(arr[0])
         if abs((x0 + 2.0) ** 2 - (d + 1.0)) > _LOAD_TOL * (d + 1.0):
             raise VectorFileError(
                 f"rescaled first component {x0:.6g} does not satisfy "
@@ -117,6 +107,22 @@ def _check_form(d: int, form: str, arr: np.ndarray) -> None:
                 "rescaled components must have squared modulus |x0|",
                 invariant="rescaled-moduli",
             )
+
+
+def _rescaled_x0(c0: complex) -> float:
+    """x0 = Re c0 for the first component c0 of a rescaled vector, on load and
+    on conversion alike: c0 must be real within _LOAD_TOL * (1 + |c0|) and
+    nonzero, since the conversion divides by sqrt(x0)."""
+    c0 = complex(c0)
+    if abs(c0.imag) > _LOAD_TOL * (1.0 + abs(c0)):
+        raise VectorFileError(
+            f"rescaled first component must be real, got {c0!r}", invariant="rescaled-x0-real"
+        )
+    if c0.real == 0.0:
+        raise VectorFileError(
+            "rescaled first component must be nonzero", invariant="rescaled-x0-nonzero"
+        )
+    return c0.real
 
 
 def dump_vector(vec: CVec, label: str | None = None, source: str | None = None) -> str:

@@ -94,6 +94,15 @@ def _check_integer(value, name: str) -> int:
     return int(value)
 
 
+def _odd_dim(dim: Dim | int) -> Dim:
+    """dim as a Dim; a ValueError for even d, since the ansatz pairing, the
+    X-overlap equation and the row identity need 2 invertible mod d."""
+    dim = _as_dim(dim)
+    if not dim.is_odd:
+        raise ValueError(f"the almost-flat ansatz requires odd dimension, got d={dim.d}")
+    return dim
+
+
 def make_dimension(d: int) -> Dim:
     """Classify an integer dimension; rejects d < 2."""
     d = _check_integer(d, "dimension")
@@ -163,9 +172,7 @@ class CVec:
 
 def cvec(components, form: str = "normalized") -> CVec:
     """Build a CVec from any complex sequence, inferring the dimension."""
-    arr = np.asarray(components, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional complex vector")
+    arr = _carray(components)
     return CVec(make_dimension(arr.shape[0]), arr, form)
 
 
@@ -211,7 +218,8 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
 
 # Spectral kernel.  Every displacement-overlap quantity of the package is read
 # from the three functions below; apply_displacement and inner_product stay
-# as the entry-by-entry definitions the tests compare against.
+# as the entry-by-entry definitions the tests compare against (z_shift is
+# apply_displacement at j = 0).
 
 
 def autocorrelation(arr, spectrum=None) -> np.ndarray:

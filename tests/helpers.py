@@ -4,9 +4,12 @@ The catalog vectors are hard-coded from their closed-form components so that
 the package code is checked against independently constructed data.
 """
 
+import json
+
 import numpy as np
 
 from flatsic import CVec, cvec
+from flatsic.vectorio import _LOAD_TOL
 
 # quadratic residues, computed here by brute squaring (independent of the
 # package's residue machinery)
@@ -73,6 +76,19 @@ def normalize_rescaled(x: np.ndarray) -> CVec:
 
 def rescaled_cvec(x: np.ndarray) -> CVec:
     return cvec(x, "rescaled")
+
+
+def rescaled_d7_text(slack_fraction: float) -> str:
+    """A rescaled vector file of d7_solution(-1) whose x0 carries an imaginary
+    part of slack_fraction times the load slack of the vector files."""
+    x = d7_solution(-1)
+    x[0] += 1j * slack_fraction * _LOAD_TOL * (1.0 + abs(x[0]))
+    return json.dumps({"d": 7, "form": "rescaled", "components": [[z.real, z.imag] for z in x]})
+
+
+#: The ghost branch at d = 3 in rescaled form: x0 = -2 + sqrt(4) = 0, so every
+#: component is 0.
+ZERO_D3_RESCALED = json.dumps({"d": 3, "form": "rescaled", "components": [[0.0, 0.0]] * 3})
 
 
 def xz_matrices(d: int):

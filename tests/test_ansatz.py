@@ -15,12 +15,14 @@ from numpy.testing import assert_allclose
 
 from flatsic import (
     DegenerateComponentError,
+    SearchConfig,
     ansatz_from_json,
     ansatz_to_json,
     as_normalized,
     basis_vector,
     build_ansatz,
     build_legendre_vector,
+    build_system,
     cvec,
     displacement_row_identity,
     to_normalized,
@@ -35,6 +37,23 @@ from flatsic import (
 
 def random_ansatz(rng, d, ghost=False):
     return build_ansatz(d, rng.uniform(0, 2 * np.pi, (d - 1) // 2), ghost=ghost)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_ansatz(8, [0.0] * 3),
+        lambda: x_overlap_deviations(basis_vector(8, 1)),
+        lambda: displacement_row_identity(basis_vector(8, 1), 1),
+        lambda: SearchConfig(dim=8, objective="xoverlap", seed=0),
+        lambda: build_system(8),
+    ],
+    ids=["build_ansatz", "x_overlap_deviations", "row_identity", "SearchConfig", "build_system"],
+)
+def test_even_dimension_message_is_shared(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "the almost-flat ansatz requires odd dimension, got d=8"
 
 
 class TestBuildAnsatz:

@@ -6,9 +6,16 @@ import json
 
 import numpy as np
 import pytest
-from helpers import d7_solution, normalize_rescaled, random_unit
+from helpers import (
+    ZERO_D3_RESCALED,
+    d7_solution,
+    normalize_rescaled,
+    random_unit,
+    rescaled_d7_text,
+)
 
 from flatsic import (
+    cvec,
     dump_vector,
     gik_residual,
     gik_table_csv,
@@ -102,6 +109,29 @@ class TestLegendreVerify:
         assert pairs["sic_verdict"] == "pass"
         assert float(pairs["sic_residual"]) < 1e-10
         assert float(pairs["z_overlap_residual"]) < 1e-11
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, d7_file):
+        code, out, _ = run(capsys, "--porcelain", "verify", d7_file, "--tol", "0.5")
+        assert (code, porcelain_dict(out)["tolerance"]) == (0, "0.5")
+        code, out, _ = run(capsys, "--porcelain", "verify", d7_file)
+        assert (code, porcelain_dict(out)["tolerance"]) == (0, "7e-09")
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            random_unit(np.random.default_rng(4), 4),  # even d
+            cvec(np.eye(7)[0]),  # psi_j = 0 for every j != 0
+        ],
+        ids=["even-d", "zero-component"],
+    )
+    def test_x_overlap_not_applicable(self, capsys, tmp_path, psi):
+        path = tmp_path / "vec.json"
+        path.write_text(dump_vector(psi))
+        code, out, _ = run(capsys, "--porcelain", "verify", str(path))
+        pairs = porcelain_dict(out)
+        assert code == 1
+        assert pairs["x_overlap_residual"] == "nan"
+        assert pairs["x_overlap_verdict"] == "fail"
 
     def test_legendre_bad_dimension(self, capsys):
         code, _, err = run(capsys, "legendre", "--d", "13")
@@ -483,6 +513,28 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "number pair" in err
+
+    @pytest.mark.parametrize(
+        "text, invariant",
+        [(rescaled_d7_text(2.0), "rescaled-x0-real"), (ZERO_D3_RESCALED, "rescaled-x0-nonzero")],
+        ids=["complex-x0", "zero-x0"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "xoverlap", "gik"])
+    def test_rescaled_x0_rejected_before_output(self, capsys, tmp_path, command, text, invariant):
+        bad = tmp_path / "x0.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "--porcelain", command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"[invariant: {invariant}]" in err
+
+    @pytest.mark.parametrize("command", ["verify", "xoverlap", "gik"])
+    def test_rescaled_x0_within_slack_accepted(self, capsys, tmp_path, command):
+        ok = tmp_path / "x0.json"
+        ok.write_text(rescaled_d7_text(0.5))
+        code, out, err = run(capsys, "--porcelain", command, str(ok))
+        assert (code, err) == ((1 if command == "verify" else 0), "")  # verify: not a SIC
+        assert porcelain_dict(out)["d"] == "7"
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command", ["verify", "legendre", "lemma1", "match"])

@@ -183,7 +183,7 @@ class TestEvalSystem:
         assert max(eval_system(system, d67_solution())) < 1e-10
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a point of length 7"):
             eval_system(build_system(7), np.zeros(5))
 
     @pytest.mark.parametrize("d, m", [(19, 4), (67, 29)])
@@ -227,7 +227,7 @@ class TestD7ComponentBasis:
         assert check_d7_component_basis(shifted.components) > 0.01
 
     def test_length_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a point of length 7"):
             check_d7_component_basis(np.zeros(5))
 
 

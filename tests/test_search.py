@@ -8,6 +8,7 @@ from helpers import NON_REAL_TOLERANCES, d7_solution, normalize_rescaled
 
 from flatsic import (
     SearchConfig,
+    basis_vector,
     build_legendre_vector,
     canonical_match,
     cvec,
@@ -274,6 +275,10 @@ class TestCanonicalMatch:
         psi = normalize_rescaled(d7_solution(-1))
         assert canonical_match(psi, z_shift(psi, 3), tol=1e-10)
         assert canonical_match(z_shift(psi, 5), psi, tol=1e-10)
+
+    def test_zero_anchor_does_not_match(self):
+        # b is anchored at component 0, where every Z^k a vanishes
+        assert not canonical_match(basis_vector(5, 1), basis_vector(5, 0))
 
     def test_global_phase_matches(self):
         psi = normalize_rescaled(d7_solution(+1))

@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import flatsic
 import flatsic.cli
@@ -306,3 +311,33 @@ def test_second_paths_stay_removed():
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__
+
+
+#: Error texts of input invariants that used to be checked, each in its own
+#: words, by several modules.
+_ONE_SITE_MESSAGES = (
+    "requires odd dimension",
+    "rescaled first component must be real",
+    "rescaled first component must be nonzero",
+    "normalized vector has norm",
+    "expected a point of length",
+)
+
+
+@pytest.mark.parametrize("text", _ONE_SITE_MESSAGES)
+def test_each_invariant_message_has_one_site(text):
+    sites = [
+        path.stem
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for _ in range(path.read_text(encoding="utf-8").count(text))
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    probe = "import sys, flatsic.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.stdout.strip() == "False", result.stderr

@@ -5,16 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from helpers import d7_solution, normalize_rescaled
+from helpers import ZERO_D3_RESCALED, d7_solution, normalize_rescaled, rescaled_d7_text
 from numpy.testing import assert_allclose
 
 from flatsic import (
     VectorFileError,
     build_legendre_vector,
     dump_vector,
+    gik_residual,
+    is_sic,
+    naive_x_residual,
     parse_vector_file,
     to_rescaled,
     to_vform,
+    x_overlap_deviations,
+    z_overlap_residual,
 )
 
 
@@ -99,6 +104,28 @@ class TestParse:
         comps = [[z.real, z.imag] for z in arr]
         with pytest.raises(VectorFileError, match="rescaled-moduli"):
             parse_vector_file(file_text(7, "rescaled", comps))
+
+
+class TestLoadedMeansAccepted:
+    """Every file that loads is accepted by every kernel: the rescaled first
+    component is checked once, with one slack, on load and on conversion."""
+
+    def test_x0_within_slack_is_accepted_everywhere(self):
+        vec = parse_vector_file(rescaled_d7_text(0.5))
+        assert z_overlap_residual(vec) < 1e-9
+        assert np.max(x_overlap_deviations(vec)) < 1e-9
+        for kernel in (is_sic, gik_residual, naive_x_residual):
+            kernel(vec)
+
+    def test_x0_beyond_slack_is_rejected_at_load(self):
+        with pytest.raises(VectorFileError, match="rescaled-x0-real") as info:
+            parse_vector_file(rescaled_d7_text(2.0))
+        assert info.value.invariant == "rescaled-x0-real"
+
+    def test_zero_x0_is_rejected_at_load(self):
+        with pytest.raises(VectorFileError, match="rescaled-x0-nonzero") as info:
+            parse_vector_file(ZERO_D3_RESCALED)
+        assert info.value.invariant == "rescaled-x0-nonzero"
 
 
 class TestRoundTrip:
