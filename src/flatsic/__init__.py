@@ -12,8 +12,6 @@ from .ansatz import (
     AnsatzVector,
     DegenerateComponentError,
     IdentityReport,
-    ansatz_from_json,
-    ansatz_to_json,
     as_normalized,
     build_ansatz,
     displacement_row_identity,
@@ -31,8 +29,6 @@ from .legendre import (
     LegendreVector,
     PerronCounts,
     build_legendre_vector,
-    classification_csv_header,
-    classification_csv_row,
     classify_legendre,
     legendre_symbol,
     legendre_sweep,
@@ -78,7 +74,6 @@ from .verify import (
     naive_x_residual,
     overlap_table,
     overlap_table_csv,
-    sic_residual,
 )
 from .weyl import (
     FORMS,

@@ -15,7 +15,6 @@ the default branch.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,8 +46,6 @@ __all__ = [
     "x_overlap_residual",
     "x_overlap_deviations",
     "displacement_row_identity",
-    "ansatz_to_json",
-    "ansatz_from_json",
 ]
 
 
@@ -61,8 +58,8 @@ class AnsatzVector:
     """Phase data of an almost-flat candidate vector.
 
     phases holds v_1..v_{d-1} (index j-1 for v_j); angles holds the free
-    angles that generated the first half, kept verbatim so JSON interchange
-    round-trips exactly.  norm_sq is N^2 = 1/(d-1-x0).
+    angles that generated the first half, kept verbatim, so that
+    build_ansatz(d, av.angles, av.ghost) rebuilds the vector exactly.
     """
 
     dim: Dim
@@ -70,7 +67,6 @@ class AnsatzVector:
     angles: np.ndarray
     phases: np.ndarray
     sqrt_x0: complex
-    norm_sq: float
     ghost: bool = False
 
     @property
@@ -92,15 +88,7 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     ang.setflags(write=False)
     v = w[1:]
     v.setflags(write=False)
-    return AnsatzVector(
-        dim=dim,
-        x0=x0,
-        angles=ang,
-        phases=v,
-        sqrt_x0=sqrt_x0,
-        norm_sq=1.0 / (d - 1.0 - x0),
-        ghost=ghost,
-    )
+    return AnsatzVector(dim=dim, x0=x0, angles=ang, phases=v, sqrt_x0=sqrt_x0, ghost=ghost)
 
 
 def _branch(d: int, ghost: bool) -> tuple[float, complex]:
@@ -165,7 +153,9 @@ def _unit_components(vec: CVec) -> tuple[np.ndarray, float]:
     """
     arr = vec.components
     if vec.form == "rescaled":
-        arr = arr / cmath.sqrt(complex(_rescaled_x0(arr[0])))
+        # x0 replaces component 0: an Im x0 within the load slack is dropped
+        x0 = _rescaled_x0(arr[0])
+        arr = np.concatenate(([x0], arr[1:])) / cmath.sqrt(complex(x0))
     nrm = float(np.linalg.norm(arr))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -252,17 +242,3 @@ def displacement_row_identity(psi, j: int) -> IdentityReport:
     rhs = d * np.conj(arr[(-j) % d]) * arr[j % d]
     return IdentityReport(j=j % d, lhs=lhs, rhs=complex(rhs), deviation=abs(lhs - rhs))
 
-
-def ansatz_to_json(av: AnsatzVector) -> str:
-    """Serialize to {"d", "ghost", "angles"}; round-trips at double precision."""
-    return json.dumps(
-        {"d": av.dim.d, "ghost": av.ghost, "angles": [float(a) for a in av.angles]}
-    )
-
-
-def ansatz_from_json(text: str) -> AnsatzVector:
-    """Inverse of ansatz_to_json."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or not {"d", "ghost", "angles"} <= set(obj):
-        raise ValueError('expected an object with keys "d", "ghost", "angles"')
-    return build_ansatz(int(obj["d"]), obj["angles"], ghost=bool(obj["ghost"]))

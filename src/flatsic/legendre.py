@@ -42,8 +42,6 @@ __all__ = [
     "build_legendre_vector",
     "lemma1_closed_form",
     "classify_legendre",
-    "classification_csv_header",
-    "classification_csv_row",
     "primes_3mod4",
     "lemma1_deviation",
     "perron_table",
@@ -211,18 +209,6 @@ class LegendreClassification:
     branches: tuple[BranchReport, BranchReport]
     tolerance: float
 
-    @property
-    def x_overlap_residual(self) -> float:
-        return max(b.x_overlap_residual for b in self.branches)
-
-    @property
-    def sic_residual(self) -> float:
-        return max(b.sic_residual for b in self.branches)
-
-    @property
-    def verdict(self) -> str:
-        return "sic" if all(b.is_sic for b in self.branches) else "not-sic"
-
 
 def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClassification:
     """Evaluate X-overlap and SIC residuals of both Legendre branches; the
@@ -242,17 +228,6 @@ def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClass
         )
     return LegendreClassification(
         dim=dim, branches=tuple(reports), tolerance=sic.tolerance_used
-    )
-
-
-def classification_csv_header() -> str:
-    return "d,mod8,x_overlap_residual,sic_residual,verdict"
-
-
-def classification_csv_row(c: LegendreClassification) -> str:
-    return (
-        f"{c.dim.d},{c.dim.mod8},{c.x_overlap_residual:.17g},"
-        f"{c.sic_residual:.17g},{c.verdict}"
     )
 
 

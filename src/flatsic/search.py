@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -253,24 +253,6 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
 
 def search_results_json(config: SearchConfig, results: list[SearchResult]) -> str:
     """Config echo plus the sorted result list, as JSON."""
-    payload = {
-        "config": {
-            "d": config.dim.d,
-            "objective": config.objective,
-            "seed": config.seed,
-            "restarts": config.restarts,
-            "max_iterations": config.max_iterations,
-            "convergence_threshold": config.convergence_threshold,
-        },
-        "results": [
-            {
-                "angles": list(r.angles),
-                "objective_value": r.objective_value,
-                "restart_index": r.restart_index,
-                "iterations": r.iterations,
-                "converged": r.converged,
-            }
-            for r in results
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    echo = {"d": config.dim.d, **asdict(config)}
+    del echo["dim"]
+    return json.dumps({"config": echo, "results": [asdict(r) for r in results]}, indent=2)

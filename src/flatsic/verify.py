@@ -27,7 +27,6 @@ __all__ = [
     "OverlapTable",
     "SicReport",
     "overlap_table",
-    "sic_residual",
     "gik_quartic",
     "gik_fourier",
     "gik_residual",
@@ -90,12 +89,6 @@ def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
         gik.append(np.abs(_gik_gaps(rows, np.fft.ifft(moduli_sq))).max())
     worst = int(np.argmax(maxima))
     return float(maxima[worst]), pairs[worst], float(np.max(gik))
-
-
-def sic_residual(psi: CVec) -> float:
-    """max over (j,k) != (0,0) of | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) |."""
-    unit, _ = _unit_components(psi)
-    return _scan(unit)[0]
 
 
 def gik_quartic(psi, i: int, k: int) -> complex:

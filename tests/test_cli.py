@@ -66,6 +66,16 @@ class TestDimInfo:
         assert pairs["n_sq_plus_3"] == "8"
         assert pairs["mod8"] == "3"
 
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            ("8", "d=8\nis_odd=false\nis_prime=false\nn_sq_plus_3=none\nmod4=0\nmod8=0\n"),
+            ("67", "d=67\nis_odd=true\nis_prime=true\nn_sq_plus_3=8\nmod4=3\nmod8=3\n"),
+        ],
+    )
+    def test_porcelain_output_is_pinned(self, capsys, d, expected):
+        assert run(capsys, "--porcelain", "dim-info", "--d", d) == (0, expected, "")
+
     def test_invalid(self, capsys):
         code, _, err = run(capsys, "dim-info", "--d", "1")
         assert code == 2
@@ -77,6 +87,12 @@ class TestDimInfo:
         _, out3, _ = run(capsys, "--porcelain", "--digits", "3", "legendre", "--d", "7")
         pairs = porcelain_dict(out3)
         assert len(pairs["sic_residual"].replace("-", "").split("e")[0].replace(".", "")) <= 3
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one_rejected(self, capsys, digits):
+        code, out, err = run(capsys, "--porcelain", "--digits", digits, "legendre", "--d", "7")
+        assert (code, out) == (2, "")
+        assert "--digits" in err
 
 
 class TestLegendreVerify:
@@ -95,12 +111,10 @@ class TestLegendreVerify:
         assert code == 0
         assert "X-overlap: PASS, SIC: PASS" in out
 
-    def test_expect_sic_message(self, capsys, tmp_path):
-        vec_path = str(tmp_path / "vec23.json")
-        run(capsys, "legendre", "--d", "23", "--out", vec_path)
-        code, _, err = run(capsys, "verify", vec_path, "--expect-sic")
-        assert code == 1
-        assert "expected a SIC" in err
+    def test_expect_sic_flag_is_gone(self, capsys, d7_file):
+        # the exit code already says whether the vector is a SIC
+        code, out, _ = run(capsys, "--porcelain", "verify", d7_file, "--expect-sic")
+        assert (code, out) == (2, "")
 
     def test_porcelain_verify(self, capsys, d7_file):
         code, out, _ = run(capsys, "--porcelain", "verify", d7_file)
@@ -533,8 +547,11 @@ class TestErrors:
         ok = tmp_path / "x0.json"
         ok.write_text(rescaled_d7_text(0.5))
         code, out, err = run(capsys, "--porcelain", command, str(ok))
-        assert (code, err) == ((1 if command == "verify" else 0), "")  # verify: not a SIC
-        assert porcelain_dict(out)["d"] == "7"
+        assert (code, err) == (0, "")
+        pairs = porcelain_dict(out)
+        assert pairs["d"] == "7"
+        if command == "verify":  # Im x0 is dropped once the load check accepts it
+            assert pairs["sic_verdict"] == "pass"
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command", ["verify", "legendre", "lemma1", "match"])

@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pytest
 from helpers import random_complex, random_unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flatsic import (
@@ -34,7 +36,6 @@ from flatsic import (
     objective,
     overlap_table,
     perron_counts,
-    sic_residual,
     tau_power,
     to_normalized,
     to_rescaled,
@@ -110,7 +111,7 @@ def _sic_deviations(table: np.ndarray) -> np.ndarray:
 def test_overlap_table_matches_displacement_oracle(vec):
     expect = _oracle_overlaps(_unit(vec))
     assert_allclose(overlap_table(vec).entries, expect, rtol=0, atol=TOL)
-    assert sic_residual(vec) == pytest.approx(_sic_deviations(expect).max(), abs=TOL)
+    assert is_sic(vec).max_modulus_deviation == pytest.approx(_sic_deviations(expect).max(), abs=TOL)
 
 
 @pytest.mark.parametrize("vec", ALL)
@@ -122,6 +123,18 @@ def test_clock_shift_rows_are_the_overlap_rows_without_tau(vec):
     assert_allclose(np.abs(rows) ** 2, moduli_sq, rtol=0, atol=TOL)
     tau = np.array([[tau_power(d, -j * k) for k in range(d)] for j in range(d)])
     assert_allclose(overlap_rows(unit, np.arange(d)), rows * tau, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-d", "odd-d"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(half=st.integers(1, 32), j=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+def test_row_minus_j_is_row_j_with_columns_reversed(parity, half, j, seed):
+    # D_{-j,-k} = D_{j,k}^dagger, so |<psi|Z^{-k} X^{-j}|psi>| = |<psi|Z^k X^j|psi>|
+    d = 2 * half + parity
+    psi = random_complex(np.random.default_rng(seed), d)  # any vector, not normalized
+    minus, plus = np.abs(clock_shift_rows(psi, [-j, j]))
+    reversed_cols = (-np.arange(d)) % d
+    assert_allclose(minus[reversed_cols], plus, rtol=0, atol=1e-13 * np.vdot(psi, psi).real)
 
 
 @pytest.mark.parametrize("vec", ALL)

@@ -11,8 +11,6 @@ from numpy.testing import assert_allclose
 
 from flatsic import (
     build_legendre_vector,
-    classification_csv_header,
-    classification_csv_row,
     classify_legendre,
     is_sic,
     legendre_symbol,
@@ -259,21 +257,21 @@ class TestLemma1:
 class TestClassify:
     def test_d7_sic(self):
         c = classify_legendre(7)
-        assert c.verdict == "sic"
-        assert c.x_overlap_residual < 1e-11
+        assert all(b.is_sic for b in c.branches)
+        assert max(b.x_overlap_residual for b in c.branches) < 1e-11
         assert all(b.is_sic for b in c.branches)
 
     def test_d67_not_sic(self):
         c = classify_legendre(67)
-        assert c.verdict == "not-sic"
-        assert c.x_overlap_residual < 1e-9
-        assert c.sic_residual > 0.01
+        assert not all(b.is_sic for b in c.branches)
+        assert max(b.x_overlap_residual for b in c.branches) < 1e-9
+        assert max(b.sic_residual for b in c.branches) > 0.01
 
     def test_d23_not_sic(self):
         c = classify_legendre(23)
-        assert c.verdict == "not-sic"
-        assert c.x_overlap_residual < 1e-10
-        assert c.sic_residual > 0.01
+        assert not all(b.is_sic for b in c.branches)
+        assert max(b.x_overlap_residual for b in c.branches) < 1e-10
+        assert max(b.sic_residual for b in c.branches) > 0.01
 
     @pytest.mark.parametrize("p", [7, 23, 67])
     def test_verdicts_are_is_sic(self, p):
@@ -289,15 +287,6 @@ class TestClassify:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             classify_legendre(7, tol=tol)
-
-    def test_csv_row(self):
-        c = classify_legendre(11)
-        row = classification_csv_row(c)
-        fields = row.split(",")
-        assert fields[0] == "11"
-        assert fields[1] == "3"
-        assert fields[4] == "not-sic"
-        assert len(classification_csv_header().split(",")) == len(fields)
 
 
 def test_primes_3mod4():

@@ -18,7 +18,6 @@ from flatsic import (
     objective,
     objective_and_gradient,
     search_results_json,
-    sic_residual,
     to_normalized,
     to_vform,
     x_overlap_deviations,
@@ -255,7 +254,7 @@ class TestMinimize:
             if not r.converged:
                 continue
             psi = to_normalized(build_ansatz(7, r.angles))
-            if sic_residual(psi) > 0.01:
+            if is_sic(psi).max_modulus_deviation > 0.01:
                 spurious += 1
         assert spurious > 0
 

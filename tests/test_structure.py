@@ -308,6 +308,11 @@ def test_second_paths_stay_removed():
         "_sqrt_x0",
         "_row_phases",
         "gik_rows",
+        "sic_residual",
+        "ansatz_to_json",
+        "ansatz_from_json",
+        "classification_csv_header",
+        "classification_csv_row",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__

@@ -30,7 +30,6 @@ from flatsic import (
     naive_x_residual,
     overlap_table,
     overlap_table_csv,
-    sic_residual,
     to_normalized,
     to_vform,
     z_shift,
@@ -82,15 +81,15 @@ class TestOverlapTable:
 
 class TestSicResidual:
     def test_d3_fiducial(self):
-        assert sic_residual(D3_FIDUCIAL) < 1e-14
+        assert is_sic(D3_FIDUCIAL).max_modulus_deviation < 1e-14
 
     def test_d67_legendre_fails(self):
         psi = to_normalized(build_legendre_vector(67).ansatz)
-        assert sic_residual(psi) > 0.01
+        assert is_sic(psi).max_modulus_deviation > 0.01
 
     def test_random_unit_fails(self):
         rng = np.random.default_rng(1)
-        assert sic_residual(random_unit(rng, 7)) > 0.01
+        assert is_sic(random_unit(rng, 7)).max_modulus_deviation > 0.01
 
 
 class TestGik:
@@ -148,14 +147,14 @@ class TestGik:
             normalize_rescaled(d7_solution(+1)),
             normalize_rescaled(d19_solution()),
         ):
-            assert sic_residual(vec) < 1e-12
+            assert is_sic(vec).max_modulus_deviation < 1e-12
             assert gik_residual(vec) < 1e-10
         for k in range(1, 4):
             shifted = z_shift(normalize_rescaled(d7_solution(+1)), k)
-            assert sic_residual(shifted) < 1e-12
+            assert is_sic(shifted).max_modulus_deviation < 1e-12
             assert gik_residual(shifted) < 1e-10
         spurious = to_normalized(build_legendre_vector(23).ansatz)
-        assert sic_residual(spurious) > 1e-3
+        assert is_sic(spurious).max_modulus_deviation > 1e-3
         assert gik_residual(spurious) > 1e-3
 
 
@@ -196,7 +195,7 @@ class TestIsSic:
     def test_records_input_norm(self):
         av = build_legendre_vector(7).ansatz
         report = is_sic(to_vform(av))
-        assert report.input_norm == pytest.approx(math.sqrt(1.0 / av.norm_sq), rel=1e-12)
+        assert report.input_norm == pytest.approx(math.sqrt(av.d - 1 - av.x0), rel=1e-12)
         assert report.is_sic
 
     def test_tolerance_validation(self):
