@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectorio import _rescaled_x0
 from .weyl import (
     CVec,
     Dim,
@@ -154,11 +153,9 @@ def _unit_components(vec: CVec) -> tuple[np.ndarray, float]:
     arr = vec.components
     if vec.form == "rescaled":
         # x0 replaces component 0: an Im x0 within the load slack is dropped
-        x0 = _rescaled_x0(arr[0])
+        x0 = arr[0].real
         arr = np.concatenate(([x0], arr[1:])) / cmath.sqrt(complex(x0))
     nrm = float(np.linalg.norm(arr))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
     return arr / nrm, nrm
 
 
@@ -238,7 +235,7 @@ def displacement_row_identity(psi, j: int) -> IdentityReport:
     arr = _carray(psi)
     d = _odd_dim(arr.shape[0]).d
     # k = 0 contributes the bare <Psi|X^{-2j}|Psi> term
-    lhs = complex(np.sum(overlap_rows(arr, [-2 * j])))
+    lhs = complex(np.sum(overlap_rows(arr, [(-2 * j) % d])))  # reduced first: 2j may exceed int64
     rhs = d * np.conj(arr[(-j) % d]) * arr[j % d]
     return IdentityReport(j=j % d, lhs=lhs, rhs=complex(rhs), deviation=abs(lhs - rhs))
 

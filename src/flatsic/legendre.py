@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import verify
-from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, to_vform, x_overlap_residual
+from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, x_overlap_residual
 from .weyl import Dim, _as_dim, autocorrelation, is_prime, make_dimension
 
 __all__ = [
@@ -241,7 +241,9 @@ def lemma1_deviation(dim: Dim | int) -> float:
     worst = 0.0
     for sign in (+1, -1):
         vec = build_legendre_vector(dim, sign)
-        direct = autocorrelation(to_vform(vec.ansatz).components)[(2 * np.arange(1, p)) % p]
+        av = vec.ansatz
+        v = np.concatenate(([av.sqrt_x0], av.phases))  # the v-form, unchecked: runs per prime
+        direct = autocorrelation(v)[(2 * np.arange(1, p)) % p]
         on_residues = lemma1_closed_form(dim, vec.x1, True)
         closed = np.where(residue, on_residues, lemma1_closed_form(dim, vec.x1, False))
         worst = max(worst, float(np.max(np.abs(direct - closed))))

@@ -236,10 +236,7 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     ua = as_normalized(a)
     ub = as_normalized(b).components
     d = a.dim.d
-    anchors = np.flatnonzero(np.abs(ub) > 1e-12)
-    if anchors.size == 0:
-        raise ValueError("cannot match against a zero vector")
-    i0 = int(anchors[0])
+    i0 = int(np.flatnonzero(np.abs(ub) > 1e-12)[0])  # ub has unit norm
     if abs(ua.components[i0]) < 1e-12:  # |(Z^k a)_i0| = |a_i0| for every k
         return False
     for k in range(d):

@@ -134,13 +134,30 @@ def tau_power(d: int, m: int) -> complex:
     return -val if mm & 1 else val
 
 
+#: Slack for the v-form and rescaled invariants, which vector files state
+#: with limited digits; normalized vectors are held to norm_tolerance(d).
+_LOAD_TOL = 1e-6
+
+
+class VectorFileError(ValueError):
+    """Raised for malformed vector files and for vectors that break a form
+    invariant."""
+
+    def __init__(self, message: str, invariant: str | None = None):
+        if invariant:
+            message = f"{message} [invariant: {invariant}]"
+        super().__init__(message)
+        self.invariant = invariant
+
+
 @dataclass(frozen=True)
 class CVec:
     """Dense complex vector of length d with a form tag.
 
-    A "normalized" vector must have unit norm within norm_tolerance(d);
-    the other form tags carry their own conventions (see FORMS) and are
-    validated where they enter the toolkit.
+    Every CVec is valid for its form when it is built: a known form, d
+    finite components and the form's invariants (_check_form).  So they hold
+    for every vector the library builds, and every dump_vector output loads;
+    a broken invariant raises VectorFileError naming it.
     """
 
     dim: Dim
@@ -149,25 +166,74 @@ class CVec:
 
     def __post_init__(self) -> None:
         arr = np.array(self.components, dtype=np.complex128)
-        if arr.shape != (self.dim.d,):
-            raise ValueError(
-                f"expected {self.dim.d} components, got array of shape {arr.shape}"
+        if self.form not in FORMS:
+            raise VectorFileError(
+                f"unknown form {self.form!r}, expected one of {FORMS}", invariant="known-form"
             )
+        if arr.shape != (self.dim.d,):
+            raise VectorFileError(
+                f"expected {self.dim.d} components, got array of shape {arr.shape}",
+                invariant="components-length",
+            )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise VectorFileError(f"component {i} is not finite", invariant="finite-components")
+        with np.errstate(over="ignore"):
+            _check_form(self.dim.d, self.form, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
-        if self.form == "normalized":
-            nrm = float(np.linalg.norm(arr))
-            if abs(nrm - 1.0) > norm_tolerance(self.dim.d):
-                raise ValueError(
-                    f"normalized vector has norm {nrm!r}, outside tolerance "
-                    f"{norm_tolerance(self.dim.d):g}"
-                )
 
     @property
     def d(self) -> int:
         return self.dim.d
+
+
+def _check_form(d: int, form: str, arr: np.ndarray) -> None:
+    """The invariants of each form (see FORMS) on finite components, each
+    raising VectorFileError with its name.  The v-form and rescaled checks
+    allow the slack _LOAD_TOL, relative where the value can be large; a huge
+    finite component fails them as an inf, not an OverflowError."""
+    if form == "normalized":
+        nrm = float(np.linalg.norm(arr))
+        if abs(nrm - 1.0) > norm_tolerance(d):
+            raise VectorFileError(
+                f"normalized vector has norm {nrm!r}, outside tolerance {norm_tolerance(d):g}",
+                invariant="normalized-norm",
+            )
+    elif form == "v-form":
+        if np.any(np.abs(np.abs(arr[1:]) - 1.0) > _LOAD_TOL):
+            raise VectorFileError(
+                "v-form phases must have unit modulus", invariant="vform-unit-moduli"
+            )
+        c0 = complex(arr[0])
+        h = abs(c0)  # |Re c0 Im c0| <= slack * (1 + h^2), divided by h^2 so nothing overflows
+        if h and abs((c0.real / h) * (c0.imag / h)) > _LOAD_TOL * (1.0 / h / h + 1.0):
+            raise VectorFileError(
+                "v-form first component must be purely real or purely imaginary",
+                invariant="vform-first-component",
+            )
+    else:
+        c0 = complex(arr[0])
+        if abs(c0.imag) > _LOAD_TOL * (1.0 + abs(c0)):
+            raise VectorFileError(
+                f"rescaled first component must be real, got {c0!r}", invariant="rescaled-x0-real"
+            )
+        x0 = c0.real
+        if x0 == 0.0:  # the conversion to unit form divides by sqrt(x0)
+            raise VectorFileError(
+                "rescaled first component must be nonzero", invariant="rescaled-x0-nonzero"
+            )
+        if abs((x0 + 2.0) * (x0 + 2.0) - (d + 1.0)) > _LOAD_TOL * (d + 1.0):
+            raise VectorFileError(
+                f"rescaled first component {x0:.6g} does not satisfy (x0+2)^2 = d+1 = {d + 1}",
+                invariant="rescaled-x0-quadratic",
+            )
+        if np.any(np.abs(np.abs(arr[1:]) ** 2 - abs(x0)) > _LOAD_TOL * (1.0 + abs(x0))):
+            raise VectorFileError(
+                "rescaled components must have squared modulus |x0|",
+                invariant="rescaled-moduli",
+            )
 
 
 def cvec(components, form: str = "normalized") -> CVec:
@@ -198,7 +264,9 @@ def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     """Apply D_{j,k} = tau^{jk} X^j Z^k without materializing a matrix.
 
     Component r of the result is tau^{jk} omega^{k(r-j)} psi_{r-j} with all
-    indices mod d.  Norm-preserving; the form tag is carried through.
+    indices mod d.  Norm-preserving; the form tag is carried through.  X^j
+    moves component 0, so a v-form or rescaled vector stays valid only for
+    j = 0 mod d (z_shift); other j raise VectorFileError.
     """
     d = psi.dim.d
     j %= d

@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from flatsic import CVec, cvec
-from flatsic.vectorio import _LOAD_TOL
+from flatsic.weyl import _LOAD_TOL
 
 # quadratic residues, computed here by brute squaring (independent of the
 # package's residue machinery)

@@ -10,6 +10,7 @@ from helpers import (
     displacement_matrix,
     normalize_rescaled,
     random_complex,
+    random_unit,
     rescaled_cvec,
 )
 from numpy.testing import assert_allclose
@@ -17,6 +18,7 @@ from numpy.testing import assert_allclose
 from flatsic import (
     DegenerateComponentError,
     SearchConfig,
+    VectorFileError,
     as_normalized,
     basis_vector,
     build_ansatz,
@@ -139,9 +141,8 @@ class TestConversions:
         )
 
     def test_rescaled_requires_real_first_component(self):
-        bad = cvec(np.full(3, 1 + 1j), "rescaled")
-        with pytest.raises(ValueError):
-            as_normalized(bad)
+        with pytest.raises(VectorFileError, match="rescaled-x0-real"):
+            cvec(np.full(3, 1 + 1j), "rescaled")
 
 
 class TestZOverlap:
@@ -160,6 +161,41 @@ class TestZOverlap:
 
     def test_d7_solution(self):
         assert z_overlap_residual(normalize_rescaled(d7_solution(-1))) < 1e-12
+
+
+class TestXOverlapSymmetries:
+    """x_overlap_deviations under the symmetries that map solutions to
+    solutions: clock shifts, complex conjugation and multipliers."""
+
+    @pytest.mark.parametrize("d", [3, 7, 9, 15, 19])
+    def test_clock_shift_keeps_every_entry(self, d):
+        psi = random_unit(np.random.default_rng(300 + d), d)
+        dev = x_overlap_deviations(psi)
+        for k in range(1, d):
+            assert_allclose(x_overlap_deviations(z_shift(psi, k)), dev, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 7, 9, 15, 19])
+    def test_conjugation_keeps_every_entry(self, d):
+        psi = random_unit(np.random.default_rng(400 + d), d)
+        conj = x_overlap_deviations(cvec(np.conj(psi.components)))
+        assert_allclose(conj, x_overlap_deviations(psi), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 7, 9, 15, 19])
+    def test_multiplier_moves_entry_j_to_aj(self, d):
+        # psi'_j = psi_{aj}: <psi'|X^{-m}|psi'> is <psi|X^{-am}|psi>
+        psi = random_unit(np.random.default_rng(500 + d), d)
+        dev = x_overlap_deviations(psi)
+        j = np.arange(1, d)
+        for a in range(2, d):
+            if math.gcd(a, d) != 1:
+                continue
+            moved = x_overlap_deviations(cvec(psi.components[(a * np.arange(d)) % d]))
+            assert_allclose(moved, dev[(a * j) % d - 1], rtol=0, atol=1e-13)
+
+    def test_multiplier_is_not_the_identity(self):
+        psi = random_unit(np.random.default_rng(507), 7)
+        moved = x_overlap_deviations(cvec(psi.components[(3 * np.arange(7)) % 7]))
+        assert np.max(np.abs(moved - x_overlap_deviations(psi))) > 1e-3
 
 
 class TestXOverlap:

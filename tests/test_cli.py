@@ -243,6 +243,13 @@ class TestGikProp1:
         pairs = porcelain_dict(out)
         assert float(pairs["deviation"]) < 1e-12
 
+    @pytest.mark.parametrize("porcelain", [[], ["--porcelain"]])
+    def test_prop1_reads_j_mod_d(self, capsys, d7_file, porcelain):
+        # 10^20 = 2 mod 7, and 2 * 10^20 is beyond int64
+        code, out, err = run(capsys, *porcelain, "prop1", d7_file, "--j", str(10**20))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *porcelain, "prop1", d7_file, "--j", "2")[1]
+
 
 class TestPerronLemma:
     def test_perron_table_and_csv(self, capsys, tmp_path):
@@ -492,6 +499,15 @@ class TestErrors:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2
         assert "malformed JSON" in err
+
+    @pytest.mark.parametrize("command", ["verify", "match"])
+    def test_deeply_nested_file(self, capsys, tmp_path, command):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, command, *[str(bad)] * (2 if command == "match" else 1))
+        assert (code, out) == (2, "")
+        assert "malformed JSON" in err
+        assert "Traceback" not in err
 
     def test_length_mismatch_file(self, capsys, tmp_path):
         bad = tmp_path / "short.json"

@@ -59,8 +59,10 @@ def _inputs(d):
             ("v-form", to_vform(av)),
             ("rescaled", to_rescaled(av)),
         ]
-    else:
-        cases.append(("scaled", cvec(3.0 * random_complex(rng, d), "v-form")))
+    else:  # non-unit input: a rescaled vector with random phases
+        x0 = -2.0 - math.sqrt(d + 1.0)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d - 1))
+        cases.append(("scaled", cvec(np.concatenate(([x0], math.sqrt(-x0) * phases)), "rescaled")))
     return cases
 
 

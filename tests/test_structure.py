@@ -326,6 +326,11 @@ _ONE_SITE_MESSAGES = (
     "rescaled first component must be nonzero",
     "normalized vector has norm",
     "expected a point of length",
+    "must have unit modulus",
+    "purely real or purely imaginary",
+    "squared modulus |x0|",
+    "does not satisfy (x0+2)^2",
+    "is not finite",
 )
 
 
@@ -337,6 +342,50 @@ def test_each_invariant_message_has_one_site(text):
         for _ in range(path.read_text(encoding="utf-8").count(text))
     ]
     assert len(sites) == 1, sites
+
+
+def _imported_flatsic_modules(source: str) -> set[str]:
+    """Last components of the flatsic modules the source imports, by any
+    form of import statement."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("flatsic"):
+                continue
+            if module in ("", "flatsic"):  # from . import m, from flatsic import m
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.split(".")[-1]
+                for alias in node.names
+                if alias.name.startswith("flatsic.")
+            }
+    return found
+
+
+def test_imported_modules_sees_every_import_form():
+    source = (
+        "from .vectorio import dump_vector\n"
+        "from . import verify\n"
+        "from flatsic import legendre\n"
+        "from flatsic.weyl import cvec\n"
+        "import flatsic.search\n"
+        "from numpy import linalg\n"
+    )
+    assert _imported_flatsic_modules(source) == {"vectorio", "verify", "legendre", "weyl", "search"}
+
+
+def test_only_the_cli_reads_the_file_format_module():
+    # the vector-form invariants live in weyl.CVec; vectorio only decodes JSON
+    importers = [
+        module.__name__
+        for module in _LIBRARY
+        if "vectorio" in _imported_flatsic_modules(Path(module.__file__).read_text("utf-8"))
+    ]
+    assert importers == []
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

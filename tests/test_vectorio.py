@@ -5,12 +5,23 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ZERO_D3_RESCALED, d7_solution, normalize_rescaled, rescaled_d7_text
-from numpy.testing import assert_allclose
+from helpers import (
+    ZERO_D3_RESCALED,
+    d7_solution,
+    normalize_rescaled,
+    random_complex,
+    rescaled_d7_text,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from flatsic import (
+    FORMS,
+    CVec,
     VectorFileError,
     build_legendre_vector,
+    cvec,
     dump_vector,
     gik_residual,
     is_sic,
@@ -149,3 +160,156 @@ class TestRoundTrip:
         assert obj["metadata"] == {"label": "x", "source": "y"}
         plain = json.loads(dump_vector(psi))
         assert "metadata" not in plain
+
+
+#: The names a VectorFileError from building a vector may carry.
+_INVARIANTS = {
+    "known-form",
+    "components-length",
+    "finite-components",
+    "normalized-norm",
+    "vform-unit-moduli",
+    "vform-first-component",
+    "rescaled-x0-real",
+    "rescaled-x0-nonzero",
+    "rescaled-x0-quadratic",
+    "rescaled-moduli",
+}
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _valid_components(rng, d: int, form: str) -> np.ndarray:
+    """Components valid for form, built here from the definitions in FORMS."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=d - 1))
+    if form == "normalized":
+        v = random_complex(rng, d)
+        return v / np.linalg.norm(v)
+    x0 = -2.0 + rng.choice([-1.0, 1.0] if d > 3 else [-1.0]) * math.sqrt(d + 1.0)  # d = 3 ghost: 0
+    if form == "v-form":
+        first = rng.choice([1.0, 1j]) * math.sqrt(abs(x0))
+        return np.concatenate(([first], phases))
+    return np.concatenate(([x0], math.sqrt(abs(x0)) * phases))
+
+
+@st.composite
+def _arrays(draw):
+    """(components, form): valid components for some form, perhaps perturbed,
+    perhaps tagged with another form, or arbitrary complex numbers."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    built_for = draw(st.sampled_from((*FORMS, None)))
+    if built_for is None:
+        numbers = st.complex_numbers(allow_nan=True, allow_infinity=True)
+        arr = np.array(draw(st.lists(numbers, min_size=d, max_size=d)), dtype=complex)
+    else:
+        arr = _valid_components(rng, d, built_for)
+        scale = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-2]))
+        start = draw(st.integers(0, 1))  # 1 keeps component 0 exact
+        arr[start:] += scale * random_complex(rng, d - start)
+    form = draw(st.sampled_from((*FORMS, "flat"))) if draw(st.booleans()) else built_for
+    return arr, form or "normalized"
+
+
+class TestEveryBuiltVectorLoads:
+    @_SETTINGS
+    @given(case=_arrays())
+    def test_built_means_loadable(self, case):
+        arr, form = case
+        try:
+            vec = cvec(arr, form)
+        except VectorFileError as exc:
+            assert exc.invariant in _INVARIANTS
+            return
+        back = parse_vector_file(dump_vector(vec))
+        assert back.form == vec.form
+        assert_array_equal(back.components, vec.components)
+
+    def test_built_means_loadable_reaches_both_outcomes(self):
+        seen = set()
+
+        @_SETTINGS
+        @given(case=_arrays())
+        def record(case):
+            try:
+                seen.add(cvec(*case).form)
+            except VectorFileError as exc:
+                seen.add(exc.invariant)
+
+        record()
+        assert set(FORMS) <= seen
+        assert {"known-form", "finite-components", "normalized-norm"} <= seen
+        assert {"vform-unit-moduli", "rescaled-x0-quadratic", "rescaled-moduli"} <= seen
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _files(draw):
+    """Vector file text: a valid file whose keys and component pairs may be
+    dropped or replaced by arbitrary JSON values or number pairs, or
+    arbitrary JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_JSON_VALUES))
+    d = draw(st.integers(2, 6))
+    form = draw(st.sampled_from(FORMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obj = json.loads(dump_vector(cvec(_valid_components(rng, d, form), form), label="x"))
+    numbers = st.integers() | st.floats()
+    for i in range(d):
+        change = draw(st.integers(0, 3))
+        if change == 0:
+            obj["components"][i] = draw(_JSON_VALUES)
+        elif change == 1:
+            obj["components"][i] = [draw(numbers), draw(numbers)]
+    for key in ("d", "form", "components", "metadata"):
+        action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if action == "drop":
+            del obj[key]
+        elif action == "replace":
+            obj[key] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+class TestLoaderFuzz:
+    @_SETTINGS
+    @given(text=_files())
+    def test_loader_raises_only_vector_file_errors(self, text):
+        try:
+            vec = parse_vector_file(text)
+        except VectorFileError:
+            return
+        assert isinstance(vec, CVec)
+
+    @pytest.mark.parametrize(
+        "form, first, invariant",
+        [
+            ("v-form", [1e200, 1e200], "vform-first-component"),
+            ("v-form", [1e308, 1e308], "vform-first-component"),
+            ("rescaled", [1e200, 0.0], "rescaled-x0-quadratic"),
+        ],
+    )
+    def test_huge_first_component(self, form, first, invariant):
+        text = file_text(3, form, [first, [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(VectorFileError, match=invariant):
+            parse_vector_file(text)
+
+    def test_huge_real_vform_first_component_is_valid(self):
+        # the v-form fixes only the phase of component 0
+        vec = parse_vector_file(file_text(3, "v-form", [[1e200, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+        assert vec.components[0] == 1e200
+
+    def test_huge_d(self):
+        text = file_text(10**13, "normalized", [[1.0, 0.0]])
+        with pytest.raises(VectorFileError, match="d must be an integer"):
+            parse_vector_file(text)
+
+    def test_deeply_nested(self):
+        with pytest.raises(VectorFileError, match="malformed JSON"):
+            parse_vector_file("[" * 100_000 + "]" * 100_000)

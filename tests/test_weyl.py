@@ -7,12 +7,18 @@ from numpy.testing import assert_allclose
 
 from flatsic import (
     CVec,
+    VectorFileError,
     apply_displacement,
     basis_vector,
+    build_ansatz,
+    build_legendre_vector,
     cvec,
     inner_product,
     make_dimension,
     tau_power,
+    to_rescaled,
+    to_vform,
+    z_shift,
 )
 
 
@@ -77,21 +83,63 @@ class TestPhaseConstants:
 
 class TestCVec:
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VectorFileError, match="components-length"):
             CVec(make_dimension(3), np.zeros(4, complex))
 
     def test_normalized_norm_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VectorFileError, match="normalized-norm"):
             cvec([2.0, 0.0, 0.0])
 
     def test_unknown_form(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VectorFileError, match="known-form"):
             cvec([1.0, 0.0], form="weird")
 
     def test_immutable(self):
         v = basis_vector(3, 0)
         with pytest.raises(ValueError):
             v.components[0] = 5.0
+
+
+class TestFormInvariants:
+    """Every CVec is valid for its form when it is built; a broken invariant
+    raises VectorFileError naming it."""
+
+    @pytest.mark.parametrize(
+        "components, form, invariant",
+        [
+            (np.full(7, 2.0), "v-form", "vform-unit-moduli"),
+            (np.ones(7), "rescaled", "rescaled-x0-quadratic"),
+            (np.full(7, np.nan), "normalized", "finite-components"),
+            (np.array([np.inf, 1.0, 1.0]), "v-form", "finite-components"),
+            (np.array([1.0 + 1.0j, 1.0, 1.0]), "v-form", "vform-first-component"),
+            (np.array([0.0, 1.0, 1.0]), "rescaled", "rescaled-x0-nonzero"),
+        ],
+    )
+    def test_invalid_vector_is_not_built(self, components, form, invariant):
+        with pytest.raises(VectorFileError, match=invariant) as info:
+            cvec(components, form)
+        assert info.value.invariant == invariant
+
+    def test_rescaled_moduli(self):
+        x = to_rescaled(build_legendre_vector(7).ansatz).components.copy()
+        x[3] *= 1.5
+        with pytest.raises(VectorFileError, match="rescaled-moduli"):
+            cvec(x, "rescaled")
+
+    @pytest.mark.parametrize("to_form", [to_vform, to_rescaled])
+    def test_shift_moves_component_zero(self, to_form):
+        vec = to_form(build_ansatz(7, [0.3, 1.1, 2.0]))
+        with pytest.raises(VectorFileError, match=r"\[invariant: (vform|rescaled)-"):
+            apply_displacement(vec, 1, 0)
+        assert apply_displacement(vec, 7, 2).form == vec.form  # j = 0 mod d
+
+    @pytest.mark.parametrize("to_form", [to_vform, to_rescaled])
+    def test_z_shift_keeps_the_form(self, to_form):
+        vec = to_form(build_ansatz(9, [0.3, 1.1, 2.0, -0.4]))
+        for k in range(9):
+            shifted = z_shift(vec, k)
+            assert shifted.form == vec.form
+            assert shifted.components[0] == vec.components[0]
 
 
 class TestApplyDisplacement:
@@ -166,7 +214,7 @@ class TestInnerProduct:
         assert inner_product(basis_vector(5, 0), basis_vector(5, 1)) == pytest.approx(0)
 
     def test_conjugates_first_argument(self):
-        a = cvec([1j, 0.0], form="v-form")
+        a = cvec([1j, 0.0])
         b = cvec([1.0, 0.0])
         assert inner_product(a, b) == pytest.approx(-1j)
 
