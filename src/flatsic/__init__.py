@@ -65,6 +65,7 @@ from .vectorio import VectorFileError, dump_vector, parse_vector_file
 from .verify import (
     OverlapTable,
     SicReport,
+    check_tolerance,
     gik_fourier,
     gik_quartic,
     gik_residual,

@@ -32,6 +32,7 @@ from .polysys import build_system, export_system, system_manifest
 from .search import OBJECTIVES, SearchConfig, canonical_match, minimize, search_results_json
 from .vectorio import dump_vector, parse_vector_file
 from .verify import (
+    check_tolerance,
     gik_residual,
     gik_table_csv,
     is_sic,
@@ -206,8 +207,7 @@ def _cmd_perron(args, rep: _Reporter) -> int:
 
 
 def _cmd_lemma1(args, rep: _Reporter) -> int:
-    if not 0.0 < args.tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
+    check_tolerance(args.tol)
     worst = 0.0
     worst_p = None
     for p, dev in legendre_mod.legendre_sweep(args.pmax, legendre_mod.lemma1_deviation):

@@ -5,9 +5,20 @@ v-form), of the quartic SIC conditions, or of the naive shift-modulus
 conditions.  Each comes with its exact gradient in the free angles
 (objective_and_gradient), which the quasi-Newton minimizer uses; no finite
 differences are taken.  minimize evaluates them from one plan per search,
-which holds every constant that depends only on d.  Every restart draws its
-starting point from a generator seeded by (seed, restart_index), so runs are
-reproducible bit for bit and restarts could execute in any order.
+which holds every constant that depends only on d, among them one pair of
+length-d transforms (fft, ifft) that every objective reads.  For
+d <= _DENSE_MAX_D (199) the pair is a product with the d x d DFT matrix,
+since numpy.fft's fixed cost per call dominates an evaluation at small d;
+above it the pair is numpy.fft.  Per xoverlap evaluation, numpy.fft
+throughout against the pair (median microseconds, one core):
+
+    d            7    19    67   199   201   487   1999
+    numpy.fft   98   113   132   224   178   397   1567
+    pair        60    62    79   192   170   391   1364
+
+Every restart draws its starting point from a generator seeded by
+(seed, restart_index), so runs are reproducible bit for bit and restarts
+could execute in any order.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ansatz import _branch, _vform_array, as_normalized, z_shift
-from .verify import _check_tolerance, _naive_x_gaps
-from .weyl import CVec, Dim, _check_integer, _odd_dim, autocorrelation, clock_shift_rows
+from .verify import _naive_x_gaps, check_tolerance
+from .weyl import CVec, Dim, _check_integer, _odd_dim, clock_shift_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -60,19 +71,27 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        threshold = _check_tolerance(self.convergence_threshold, "convergence threshold")
+        threshold = check_tolerance(self.convergence_threshold, "convergence threshold")
         object.__setattr__(self, "convergence_threshold", threshold)
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """One restart's outcome; converged means objective below the threshold."""
+    """One restart's outcome; converged means objective below the threshold.
+
+    iterations, evaluations and status are the minimizer's nit, nfev and
+    integer status: 0 when its own stopping test (ftol, gtol) was met, 1 at
+    the iteration or evaluation cap, 2 when it stopped otherwise, such as
+    after a failed line search.
+    """
 
     angles: tuple[float, ...]
     objective_value: float
     restart_index: int
     iterations: int
     converged: bool
+    evaluations: int
+    status: int
 
 
 def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndarray]:
@@ -85,6 +104,9 @@ def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndar
     objective is first differentiated by conj(w_k) for the vector w it reads
     (the v-form for xoverlap, the unit vector otherwise; its norm is the same
     at every angle), then chained to the angles by _angle_gradient.
+
+    Each call builds a fresh plan, the d x d DFT matrix included below the
+    crossover; repeated evaluation belongs in minimize, which builds one.
     """
     return _plan(config)(angles)
 
@@ -92,14 +114,15 @@ def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndar
 def _plan(config: SearchConfig):
     """The objective_and_gradient function of one configuration.
 
-    Everything that depends only on d is computed here, once per search;
-    each evaluation builds the v-form array of its angles and the kernel
-    quantities of that vector, and nothing else.
+    Everything that depends only on d is computed here, once per search:
+    the transform pair among it.  Each evaluation builds the v-form array of
+    its angles and the kernel quantities of that vector, and nothing else.
     """
     d = config.dim.d
     _, sqrt_x0 = _branch(d, ghost=False)
     pos = np.arange(1, (d + 1) // 2)
     neg = d - pos
+    fft, ifft = _transform_pair(d)
 
     if config.objective == "xoverlap":
         lags = (2 * np.arange(1, d)) % d
@@ -108,12 +131,12 @@ def _plan(config: SearchConfig):
 
         def xoverlap(angles):
             _, w = _vform_array(d, angles, sqrt_x0)
-            spectrum = np.fft.fft(w)
+            spectrum = fft(w)
             # gap j, at lag 2j: <v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2
-            gaps = autocorrelation(w, spectrum)[lags] - s_plus_1 * w[1:] ** 2
+            gaps = ifft(np.abs(spectrum) ** 2)[lags] - s_plus_1 * w[1:] ** 2
             lagged = np.zeros(d, dtype=np.complex128)
             lagged[lags] = gaps
-            grad = _lag_adjoint(spectrum, lagged)
+            grad = _lag_adjoint(fft, ifft, spectrum, lagged)
             grad[1:] -= scale * np.conj(w[1:]) * gaps
             return float(np.sum(np.abs(gaps) ** 2)), _angle_gradient(w, grad, pos, neg)
 
@@ -127,10 +150,10 @@ def _plan(config: SearchConfig):
 
         def naive_x(angles):
             w = unit_vector(angles)
-            spectrum = np.fft.fft(w)
-            c = autocorrelation(w, spectrum)
+            spectrum = fft(w)
+            c = ifft(np.abs(spectrum) ** 2)
             gaps = _naive_x_gaps(c)
-            grad = _lag_adjoint(spectrum, 2.0 * gaps * c)
+            grad = _lag_adjoint(fft, ifft, spectrum, 2.0 * gaps * c)
             return float(np.sum(gaps**2)), _angle_gradient(w, grad, pos, neg)
 
         return naive_x
@@ -139,7 +162,7 @@ def _plan(config: SearchConfig):
     # E_ij = |C_ij|^2 - t_ij, C_ij = <w|Z^j X^i|w> the clock-shift rows (the
     # overlaps up to a unit phase), t_00 = 1 and t_ij = 1/(d+1) elsewhere.
     # (Z^j X^i w)_q = omega^{jq} w_{q-i}, so the gradient
-    # (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse FFT per row.
+    # (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse transform per row.
     indices = np.arange(d)
     target = np.full((d, d), 1.0 / (d + 1.0))
     target[0, 0] = 1.0
@@ -149,20 +172,44 @@ def _plan(config: SearchConfig):
         w = unit_vector(angles)
         table = clock_shift_rows(w, indices)
         gaps = np.abs(table) ** 2 - target
-        spectra = np.fft.ifft(gaps * np.conj(table), axis=1)
+        spectra = ifft(gaps * np.conj(table))
         grad = 4.0 * np.sum(w[shifted] * spectra, axis=0)
         return float(np.sum(gaps**2) / d), _angle_gradient(w, grad, pos, neg)
 
     return sic
 
 
-def _lag_adjoint(spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
+#: Largest d whose search transforms are products with the d x d DFT matrix.
+#: Below it numpy.fft's fixed cost per call outweighs the d^2 arithmetic of a
+#: matrix product; above it the O(d log d) transform wins (the module
+#: docstring has the per-evaluation table this is read from).
+_DENSE_MAX_D = 199
+
+
+def _transform_pair(d: int):
+    """(fft, ifft): numpy.fft's unnormalized length-d DFT and its inverse,
+    along the last axis of their argument.
+
+    For d <= _DENSE_MAX_D both are products with the DFT matrix, built here,
+    F_jk = exp(-2 pi i ((j k) mod d) / d) with the exponent reduced exactly
+    before it is scaled, and conj(F) / d.  F is symmetric, so x @ F
+    transforms every row of x.  Above that d they are numpy.fft itself.
+    """
+    if d > _DENSE_MAX_D:
+        return np.fft.fft, np.fft.ifft
+    index = np.arange(d)
+    forward = np.exp(-2j * np.pi * (np.outer(index, index) % d / d))
+    inverse = np.conj(forward) / d
+    return (lambda x: x @ forward), (lambda x: x @ inverse)
+
+
+def _lag_adjoint(fft, ifft, spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g_k = sum_m r_m w_{k-m} + sum_m conj(r_m) w_{k+m}, one convolution and
     one correlation: the conj(w_k) derivative of sum_m conj(r_m) c_m + c.c.
-    with r held fixed, where c is the autocorrelation of w and spectrum is
-    fft(w)."""
-    rf = np.fft.fft(r)
-    return np.fft.ifft((rf + np.conj(rf)) * spectrum)
+    with r held fixed, where c is the autocorrelation of w, spectrum is
+    fft(w), and fft, ifft is the plan's transform pair."""
+    rf = fft(r)
+    return ifft((rf + np.conj(rf)) * spectrum)
 
 
 def _angle_gradient(
@@ -176,7 +223,7 @@ def _angle_gradient(
 
 def objective(config: SearchConfig, angles) -> float:
     """The configured objective at a set of free angles: the value that
-    objective_and_gradient returns."""
+    objective_and_gradient returns, from a fresh plan per call."""
     return objective_and_gradient(config, angles)[0]
 
 
@@ -217,6 +264,8 @@ def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
                 restart_index=r,
                 iterations=int(res.nit),
                 converged=bool(value < config.convergence_threshold),
+                evaluations=int(res.nfev),
+                status=int(res.status),
             )
         )
     results.sort(key=lambda t: (t.objective_value, t.restart_index))
@@ -230,7 +279,7 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     component of b; distance is the Euclidean norm of the difference.  tol
     must satisfy 0 < tol < inf, or a ValueError is raised.
     """
-    tol = _check_tolerance(tol)
+    tol = check_tolerance(tol)
     if a.dim.d != b.dim.d:
         raise ValueError(f"dimension mismatch: {a.dim.d} vs {b.dim.d}")
     ua = as_normalized(a)

@@ -35,6 +35,7 @@ __all__ = [
     "naive_x_residual",
     "overlap_table_csv",
     "gik_table_csv",
+    "check_tolerance",
 ]
 
 # Rows per kernel call in _scan, so that its memory stays O(_BLOCK_ROWS * d)
@@ -189,7 +190,7 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     squared-modulus deviations only; the quartic residual is reported
     alongside.  Both are reduced block by block, so memory stays O(d).
     """
-    tol = _check_tolerance(1e-9 * psi.dim.d if tol is None else tol)
+    tol = check_tolerance(1e-9 * psi.dim.d if tol is None else tol)
     unit, nrm = _unit_components(psi)
     worst, pair, gik = _scan(unit)
     return SicReport(
@@ -202,7 +203,7 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     )
 
 
-def _check_tolerance(tol: float, name: str = "tolerance") -> float:
+def check_tolerance(tol: float, name: str = "tolerance") -> float:
     """tol as a float in (0, inf); a ValueError naming it for anything else,
     a bool, NaN, None, text and a complex value included."""
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)

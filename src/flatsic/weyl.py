@@ -290,16 +290,10 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
 # apply_displacement at j = 0).
 
 
-def autocorrelation(arr, spectrum=None) -> np.ndarray:
+def autocorrelation(arr) -> np.ndarray:
     """Circular correlation c[m] = sum_k conj(arr_k) arr_{k+m} for all lags m,
-    so that <Psi|X^{-m}|Psi> is c[m].
-
-    spectrum, when given, must be np.fft.fft(arr); a caller that needs that
-    transform for something else passes it in so it is computed once.
-    """
-    if spectrum is None:
-        spectrum = np.fft.fft(arr)
-    return np.fft.ifft(np.abs(spectrum) ** 2)
+    so that <Psi|X^{-m}|Psi> is c[m]."""
+    return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
 
 
 def clock_shift_rows(psi, rows) -> np.ndarray:

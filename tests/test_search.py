@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import NON_REAL_TOLERANCES, d7_solution, normalize_rescaled
 
+import flatsic.search
 from flatsic import (
     SearchConfig,
     basis_vector,
@@ -176,9 +177,42 @@ def central_difference(cfg, angles, step=1e-6):
     return grad
 
 
+#: The largest odd d whose plan multiplies by the DFT matrix, and the next
+#: odd d, whose plan calls numpy.fft.
+DENSE_D = flatsic.search._DENSE_MAX_D - 1 + flatsic.search._DENSE_MAX_D % 2
+FFT_D = DENSE_D + 2
+
+
+class TestTransformPair:
+    def test_sides_of_the_crossover(self):
+        assert flatsic.search._transform_pair(FFT_D) == (np.fft.fft, np.fft.ifft)
+        assert flatsic.search._transform_pair(DENSE_D)[0] is not np.fft.fft
+
+    @pytest.mark.parametrize("d", [3, 7, DENSE_D, FFT_D])
+    def test_equals_numpy_fft(self, d):
+        fft, ifft = flatsic.search._transform_pair(d)
+        rng = np.random.default_rng(d)
+        for shape in ((d,), (4, d)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for got, expect in ((fft(x), np.fft.fft(x)), (ifft(x), np.fft.ifft(x))):
+                assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        real = rng.standard_normal(d)  # the objectives transform |spectrum|^2
+        assert np.linalg.norm(ifft(real) - np.fft.ifft(real)) <= 1e-12 * np.linalg.norm(real)
+
+    @pytest.mark.parametrize("obj, d", [("xoverlap", 7), ("xoverlap", 11), ("naive_x", 11)])
+    def test_dense_and_fft_searches_agree(self, monkeypatch, obj, d):
+        cfg = config(d, obj=obj, seed=3, restarts=20)
+        dense = {r.restart_index: r for r in minimize(cfg)[1] if r.converged}
+        monkeypatch.setattr(flatsic.search, "_transform_pair", lambda n: (np.fft.fft, np.fft.ifft))
+        fft = {r.restart_index: r for r in minimize(cfg)[1] if r.converged}
+        assert dense and dense.keys() == fft.keys()
+        for i, r in fft.items():
+            assert np.max(np.abs(np.subtract(r.angles, dense[i].angles))) <= 1e-12
+
+
 class TestGradient:
     @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
-    @pytest.mark.parametrize("d", [7, 11, 19, 43])
+    @pytest.mark.parametrize("d", [7, 11, 19, 43, FFT_D])
     def test_matches_central_difference(self, obj, d):
         cfg = config(d, obj=obj)
         rng = np.random.default_rng([d, len(obj)])
@@ -258,11 +292,23 @@ class TestMinimize:
                 spurious += 1
         assert spurious > 0
 
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    def test_records_how_each_restart_ended(self, obj):
+        cfg = config(11, obj=obj, seed=2, restarts=6, max_iterations=60)
+        _, results = minimize(cfg)
+        for r in results:
+            assert r.evaluations >= r.iterations >= 0
+            assert r.status in (0, 1, 2)
+        assert [(r.evaluations, r.status) for r in minimize(cfg)[1]] == [
+            (r.evaluations, r.status) for r in results
+        ]
+
     def test_nonconvergent_reported_not_raised(self):
         cfg = config(11, restarts=3, max_iterations=2)
         best, results = minimize(cfg)
         assert len(results) == 3
         assert any(not r.converged for r in results)
+        assert all(r.status == 1 for r in results if not r.converged)  # the iteration cap
 
 
 class TestCanonicalMatch:
@@ -319,6 +365,8 @@ class TestJson:
             "restart_index",
             "iterations",
             "converged",
+            "evaluations",
+            "status",
         }
         assert first["objective_value"] == best.objective_value
         assert tuple(first["angles"]) == best.angles

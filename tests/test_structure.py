@@ -331,6 +331,7 @@ _ONE_SITE_MESSAGES = (
     "squared modulus |x0|",
     "does not satisfy (x0+2)^2",
     "is not finite",
+    "must be positive and finite",
 )
 
 
@@ -395,3 +396,55 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.stdout.strip() == "False", result.stderr
+
+
+def _numpy_fft_owners(source: str) -> list[str | None]:
+    """For each reference the source makes to numpy.fft (np.fft.*, or an
+    import of numpy.fft in any form), the top-level function it sits in,
+    None outside every function."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "fft" and isinstance(node.value, ast.Name) and (
+                    node.value.id in ("np", "numpy")
+                )
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                hit = module.startswith("numpy.fft") or (
+                    module == "numpy" and any(alias.name == "fft" for alias in node.names)
+                )
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.startswith("numpy.fft") for alias in node.names)
+            else:
+                hit = False
+            if hit:
+                owners.append(owner)
+    return owners
+
+
+def test_numpy_fft_owners_sees_every_form():
+    source = (
+        "import numpy.fft\n"
+        "from numpy import fft\n"
+        "def a(x):\n"
+        "    from numpy.fft import ifft\n"
+        "    return np.fft.fft(x)\n"
+        "class B:\n"
+        "    def f(self, x):\n"
+        "        return numpy.fft.ifft(x)\n"
+        "def c(x):\n"
+        "    def inner(y):\n"
+        "        return np.fft.fft(y)\n"
+        "    return inner(np.linalg.norm(x))\n"
+    )
+    assert _numpy_fft_owners(source) == [None, None, "a", "a", None, "c"]
+
+
+def test_search_transforms_only_through_its_transform_pair():
+    # every search objective reads the plan's (fft, ifft); numpy.fft is
+    # chosen, by d, in one place
+    source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
+    owners = _numpy_fft_owners(source)
+    assert owners and set(owners) == {"_transform_pair"}
