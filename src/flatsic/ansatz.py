@@ -82,10 +82,10 @@ def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     dim = _odd_dim(dim)
     d = dim.d
     x0, sqrt_x0 = _branch(d, ghost)
-    ang, w = _vform_array(d, angles, sqrt_x0)
-    ang = ang.copy()
+    ang, w = _vform_array(d, _one_row(angles), sqrt_x0)
+    ang = ang[0].copy()
     ang.setflags(write=False)
-    v = w[1:]
+    v = w[0, 1:]
     v.setflags(write=False)
     return AnsatzVector(dim=dim, x0=x0, angles=ang, phases=v, sqrt_x0=sqrt_x0, ghost=ghost)
 
@@ -97,26 +97,35 @@ def _branch(d: int, ghost: bool) -> tuple[float, complex]:
     return x0, complex(cmath.sqrt(complex(x0)))
 
 
+def _one_row(angles) -> np.ndarray:
+    """One vector of free angles as a batch of one row for _vform_array; a
+    scalar is a single angle."""
+    return np.atleast_1d(np.asarray(angles, dtype=float))[None]
+
+
 def _vform_array(d: int, angles, sqrt_x0: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The checked free angles and the v-form array (sqrt_x0, v_1, ..., v_{d-1})
-    they generate, for odd d >= 3.
+    """The checked free angles and the v-form arrays (sqrt_x0, v_1, ..., v_{d-1})
+    they generate, for odd d >= 3: angles holds one vector of (d-1)/2 angles
+    per row, shape (R, (d-1)/2), and row r of the v-form array, shape (R, d),
+    is built from row r alone.
 
     The only place the v-form is built from angles, and the only place
-    angles are checked: raises for a wrong angle count and for a non-finite
-    angle.  The returned angle array may share memory with the input.
+    angles are checked: raises for a wrong angle count and then for a
+    non-finite angle, naming its index within its row.  The returned angle
+    array may share memory with the input.
     """
     half = (d - 1) // 2
-    ang = np.atleast_1d(np.asarray(angles, dtype=float))
-    if ang.shape != (half,):
-        raise ValueError(f"expected {half} angles for d={d}, got {ang.size}")
-    # a Python loop: cheaper than np.isfinite on the few angles of a search call
-    if not all(map(math.isfinite, ang.tolist())):
-        i = int(np.argmin(np.isfinite(ang)))
-        raise ValueError(f"angles must be finite, got {ang[i]} at index {i}")
-    w = np.empty(d, dtype=np.complex128)
-    w[0] = sqrt_x0
-    w[1 : half + 1] = np.exp(1j * ang)
-    w[half + 1 :] = -np.conj(w[half:0:-1])
+    ang = np.asarray(angles, dtype=float)
+    if ang.ndim != 2 or ang.shape[1] != half:
+        raise ValueError(f"expected {half} angles for d={d}, got {ang[0].size}")
+    finite = np.isfinite(ang)
+    if not finite.all():
+        r, i = np.argwhere(~finite)[0]
+        raise ValueError(f"angles must be finite, got {ang[r, i]} at index {i}")
+    w = np.empty((ang.shape[0], d), dtype=np.complex128)
+    w[:, 0] = sqrt_x0
+    w[:, 1 : half + 1] = np.exp(1j * ang)
+    w[:, half + 1 :] = -np.conj(w[:, half:0:-1])
     return ang, w
 
 

@@ -3,33 +3,50 @@
 Objectives are sums of squared residuals of the X-overlap equation (on the
 v-form), of the quartic SIC conditions, or of the naive shift-modulus
 conditions.  Each comes with its exact gradient in the free angles
-(objective_and_gradient), which the quasi-Newton minimizer uses; no finite
-differences are taken.  minimize evaluates them from one plan per search,
-which holds every constant that depends only on d, among them one pair of
-length-d transforms (fft, ifft) that every objective reads.  For
-d <= _DENSE_MAX_D (199) the pair is a product with the d x d DFT matrix,
-since numpy.fft's fixed cost per call dominates an evaluation at small d;
-above it the pair is numpy.fft.  Per xoverlap evaluation, numpy.fft
-throughout against the pair (median microseconds, one core):
+(objective_and_gradient); no finite differences are taken.  A search
+evaluates them from one plan (_plan), which holds every constant that
+depends only on d, among them one pair of length-d transforms (fft, ifft)
+that every objective reads: products with the d x d DFT matrix for
+d <= _DENSE_MAX_D (199), where numpy.fft's fixed cost per call would
+dominate, and numpy.fft above it.
 
-    d            7    19    67   199   201   487   1999
-    numpy.fft   98   113   132   224   178   397   1567
-    pair        60    62    79   192   170   391   1364
+All restarts of a search advance together.  The plan maps an (R, (d-1)/2)
+array of angles to R values and an (R, (d-1)/2) gradient, and minimize runs
+one limited-memory BFGS (Liu and Nocedal, Math. Programming 45, 1989: the
+method L-BFGS-B applies when no bound is set) over all R restarts at once,
+calling the plan once per step on the restarts still running.  Each restart
+keeps its own 10 curvature pairs, takes min(1, 1/|g|) as its first step and
+1 afterwards, backtracks until the Armijo test holds, and leaves the batch
+when it stops:
 
-Every restart draws its starting point from a generator seeded by
-(seed, restart_index), so runs are reproducible bit for bit and restarts
-could execute in any order.
+    status 0   its own test: a step lowered the objective by at most
+               1e-20 * max(|f_old|, |f_new|, 1), or max |g| <= 1e-14
+    status 1   max_iterations accepted steps
+    status 2   a line search failed (20 trial points, or a trial point that
+               rounds to the current point) with no curvature pair stored
+
+Every operation acts on each row alone, the same way whatever the batch
+holds, so a restart's result is bit-identical however many restarts run
+beside it.  Each restart draws its starting point from a generator seeded by
+(seed, restart_index).  Milliseconds per minimize call (the lowest of two to
+four passes, each the mean over seeds 1-3 of the best of two or three runs;
+one core of a shared 2-vCPU virtual machine, Python 3.11.7, numpy 2.4.6,
+OpenBLAS on one thread):
+
+    objective, d    xoverlap 7   11   19   67   201   naive_x 11   sic 7   19
+    R = 10                  11   16   22   60   166           12      18   44
+    R = 200                 43   38   81  468  2171           44      67  325
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ansatz import _branch, _vform_array, as_normalized, z_shift
+from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
 from .verify import _naive_x_gaps, check_tolerance
 from .weyl import CVec, Dim, _check_integer, _odd_dim, clock_shift_rows
 
@@ -79,10 +96,10 @@ class SearchConfig:
 class SearchResult:
     """One restart's outcome; converged means objective below the threshold.
 
-    iterations, evaluations and status are the minimizer's nit, nfev and
-    integer status: 0 when its own stopping test (ftol, gtol) was met, 1 at
-    the iteration or evaluation cap, 2 when it stopped otherwise, such as
-    after a failed line search.
+    iterations counts the minimizer's accepted steps and evaluations the
+    objective evaluations of the restart, its start included.  status is 0
+    when its own stopping test (_FTOL, _GTOL) was met, 1 at max_iterations,
+    and 2 after a line search failed with no curvature pair stored.
     """
 
     angles: tuple[float, ...]
@@ -98,30 +115,39 @@ def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndar
     """The configured objective at a set of free angles and its exact gradient
     with respect to those angles, from one pass over the kernel quantities.
 
-    Angles are checked exactly as build_ansatz checks them.  The vector is
-    always a default-branch ansatz vector, so the clock-overlap condition
-    holds identically and only the X-side structure is penalized.  Each
-    objective is first differentiated by conj(w_k) for the vector w it reads
-    (the v-form for xoverlap, the unit vector otherwise; its norm is the same
-    at every angle), then chained to the angles by _angle_gradient.
+    This is the search plan applied to a batch of one row, so it equals, bit
+    for bit, that row of any batch minimize evaluates.  Angles are checked
+    exactly as build_ansatz checks them.  The vector is always a
+    default-branch ansatz vector, so the clock-overlap condition holds
+    identically and only the X-side structure is penalized.  Each objective
+    is first differentiated by conj(w_k) for the vector w it reads (the
+    v-form for xoverlap, the unit vector otherwise; its norm is the same at
+    every angle), then chained to the angles by _angle_gradient.
 
     Each call builds a fresh plan, the d x d DFT matrix included below the
     crossover; repeated evaluation belongs in minimize, which builds one.
     """
-    return _plan(config)(angles)
+    values, grads = _plan(config)(_one_row(angles))
+    return float(values[0]), grads[0]
 
 
 def _plan(config: SearchConfig):
-    """The objective_and_gradient function of one configuration.
+    """The objective of one configuration as a function of a batch of angle
+    rows, shape (R, (d-1)/2), returning the R values and their (R, (d-1)/2)
+    gradient.
 
     Everything that depends only on d is computed here, once per search:
     the transform pair among it.  Each evaluation builds the v-form array of
-    its angles and the kernel quantities of that vector, and nothing else.
+    its angles and the kernel quantities of those vectors, and nothing else.
+    Every operation acts on each row alone, in the same way whatever the
+    number of rows, so a row's value and gradient do not depend on the rest
+    of the batch.  Gathers along the last axis use np.take: an index array
+    there (a[:, idx]) returns a batch in another memory order than a single
+    row, and numpy's sums and products then round the two differently.
     """
     d = config.dim.d
     _, sqrt_x0 = _branch(d, ghost=False)
-    pos = np.arange(1, (d + 1) // 2)
-    neg = d - pos
+    half = (d - 1) // 2
     fft, ifft = _transform_pair(d)
 
     if config.objective == "xoverlap":
@@ -133,28 +159,30 @@ def _plan(config: SearchConfig):
             _, w = _vform_array(d, angles, sqrt_x0)
             spectrum = fft(w)
             # gap j, at lag 2j: <v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2
-            gaps = ifft(np.abs(spectrum) ** 2)[lags] - s_plus_1 * w[1:] ** 2
-            lagged = np.zeros(d, dtype=np.complex128)
-            lagged[lags] = gaps
+            gaps = np.take(ifft(np.abs(spectrum) ** 2), lags, axis=1) - s_plus_1 * w[:, 1:] ** 2
+            lagged = np.zeros(w.shape, dtype=np.complex128)
+            lagged[:, lags] = gaps
             grad = _lag_adjoint(fft, ifft, spectrum, lagged)
-            grad[1:] -= scale * np.conj(w[1:]) * gaps
-            return float(np.sum(np.abs(gaps) ** 2)), _angle_gradient(w, grad, pos, neg)
+            grad[:, 1:] -= scale * np.conj(w[:, 1:]) * gaps
+            return np.sum(np.abs(gaps) ** 2, axis=-1), _angle_gradient(w, grad, half)
 
         return xoverlap
 
-    def unit_vector(angles):
-        _, v = _vform_array(d, angles, sqrt_x0)
-        return v / np.linalg.norm(v)
+    # the v-form norm sqrt(|x0| + d - 1) is the same at every angle
+    unit_scale = 1.0 / math.sqrt(abs(sqrt_x0) ** 2 + d - 1.0)
+
+    def unit_vectors(angles):
+        return _vform_array(d, angles, sqrt_x0)[1] * unit_scale
 
     if config.objective == "naive_x":
 
         def naive_x(angles):
-            w = unit_vector(angles)
+            w = unit_vectors(angles)
             spectrum = fft(w)
             c = ifft(np.abs(spectrum) ** 2)
             gaps = _naive_x_gaps(c)
             grad = _lag_adjoint(fft, ifft, spectrum, 2.0 * gaps * c)
-            return float(np.sum(gaps**2)), _angle_gradient(w, grad, pos, neg)
+            return np.sum(gaps**2, axis=-1), _angle_gradient(w, grad, half)
 
         return naive_x
 
@@ -163,26 +191,40 @@ def _plan(config: SearchConfig):
     # overlaps up to a unit phase), t_00 = 1 and t_ij = 1/(d+1) elsewhere.
     # (Z^j X^i w)_q = omega^{jq} w_{q-i}, so the gradient
     # (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse transform per row.
+    # Each vector needs a few d x d tables at once, so the batch is evaluated
+    # in slices whose clock-shift tables take at most _SIC_TABLE_BYTES.
     indices = np.arange(d)
     target = np.full((d, d), 1.0 / (d + 1.0))
     target[0, 0] = 1.0
     shifted = (indices - indices[:, None]) % d  # [i, q] -> q - i
+    slice_rows = max(1, _SIC_TABLE_BYTES // (16 * d * d))
 
     def sic(angles):
-        w = unit_vector(angles)
-        table = clock_shift_rows(w, indices)
-        gaps = np.abs(table) ** 2 - target
-        spectra = ifft(gaps * np.conj(table))
-        grad = 4.0 * np.sum(w[shifted] * spectra, axis=0)
-        return float(np.sum(gaps**2) / d), _angle_gradient(w, grad, pos, neg)
+        w = unit_vectors(angles)
+        values = np.empty(len(w))
+        grad = np.empty(w.shape, dtype=np.complex128)
+        for start in range(0, len(w), slice_rows):
+            part = slice(start, start + slice_rows)
+            table = clock_shift_rows(w[part], indices)
+            gaps = np.abs(table) ** 2 - target
+            spectra = ifft(gaps * np.conj(table))
+            grad[part] = 4.0 * np.sum(np.take(w[part], shifted, axis=1) * spectra, axis=1)
+            values[part] = np.sum(gaps**2, axis=(-2, -1)) / d
+        return values, _angle_gradient(w, grad, half)
 
     return sic
 
 
+#: Bytes of the clock-shift tables of one slice of a sic evaluation, 16 d^2
+#: per row (a slice has at least one row); the slice's other temporaries
+#: are a few times that.  Slices of 1-4 MiB of tables ran up to twice as
+#: slow per row at d = 19-199, their temporaries no longer fitting in cache.
+_SIC_TABLE_BYTES = 1 << 19
+
 #: Largest d whose search transforms are products with the d x d DFT matrix.
 #: Below it numpy.fft's fixed cost per call outweighs the d^2 arithmetic of a
-#: matrix product; above it the O(d log d) transform wins (the module
-#: docstring has the per-evaluation table this is read from).
+#: matrix product; above it the O(d log d) transform wins (README, "Numerical
+#: search", has the per-evaluation timings this is read from).
 _DENSE_MAX_D = 199
 
 
@@ -193,14 +235,23 @@ def _transform_pair(d: int):
     For d <= _DENSE_MAX_D both are products with the DFT matrix, built here,
     F_jk = exp(-2 pi i ((j k) mod d) / d) with the exponent reduced exactly
     before it is scaled, and conj(F) / d.  F is symmetric, so x @ F
-    transforms every row of x.  Above that d they are numpy.fft itself.
+    transforms every row of x.  A batch of vectors, shape (R, d), goes
+    through one vector-matrix product per row, since a matrix-matrix product
+    may round a row differently from the product of that row alone; a batch
+    of d x d tables, shape (R, d, d), through one matrix-matrix product per
+    table, the same for each table whatever R is.  Above that d they are
+    numpy.fft itself.
     """
     if d > _DENSE_MAX_D:
         return np.fft.fft, np.fft.ifft
     index = np.arange(d)
     forward = np.exp(-2j * np.pi * (np.outer(index, index) % d / d))
     inverse = np.conj(forward) / d
-    return (lambda x: x @ forward), (lambda x: x @ inverse)
+
+    def product(x, matrix):
+        return x @ matrix if x.ndim > 2 else (x[..., None, :] @ matrix)[..., 0, :]
+
+    return (lambda x: product(x, forward)), (lambda x: product(x, inverse))
 
 
 def _lag_adjoint(fft, ifft, spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -212,13 +263,14 @@ def _lag_adjoint(fft, ifft, spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
     return ifft((rf + np.conj(rf)) * spectrum)
 
 
-def _angle_gradient(
-    w: np.ndarray, grad: np.ndarray, pos: np.ndarray, neg: np.ndarray
-) -> np.ndarray:
+def _angle_gradient(w: np.ndarray, grad: np.ndarray, half: int) -> np.ndarray:
     """Chain a gradient grad_k = df/dconj(w_k) of a real f through
-    w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..(d-1)/2, for
-    pos = j and neg = d - j."""
-    return 2.0 * (np.imag(np.conj(grad[neg]) * w[neg]) - np.imag(np.conj(grad[pos]) * w[pos]))
+    w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..half, row by
+    row."""
+    pos, neg = slice(1, half + 1), slice(-1, half, -1)  # j and d - j
+    return 2.0 * (
+        np.imag(np.conj(grad[:, neg]) * w[:, neg]) - np.imag(np.conj(grad[:, pos]) * w[:, pos])
+    )
 
 
 def objective(config: SearchConfig, angles) -> float:
@@ -227,49 +279,220 @@ def objective(config: SearchConfig, angles) -> float:
     return objective_and_gradient(config, angles)[0]
 
 
+#: Curvature pairs the minimizer keeps per restart (L-BFGS-B's default).
+_MEMORY = 10
+#: A restart stops by its own test (status 0) when a step lowers the
+#: objective by at most _FTOL * max(|f_old|, |f_new|, 1), or when no gradient
+#: component exceeds _GTOL in modulus.
+_FTOL = 1e-20
+_GTOL = 1e-14
+#: The Armijo sufficient-decrease constant, and the trial points one line
+#: search may evaluate before it fails.
+_ARMIJO = 1e-4
+_MAX_TRIALS = 20
+
+
 def minimize(config: SearchConfig) -> tuple[SearchResult, list[SearchResult]]:
     """Run the multistart search; returns (best, all results).
 
     Each restart starts from angles drawn uniformly on [0, 2 pi) by a
-    generator seeded with (seed, restart_index) and runs a quasi-Newton
-    minimizer fed with the exact gradients of objective_and_gradient.
-    Results are sorted by (objective_value, restart_index); non-convergent
-    restarts are kept, flagged converged=False.
+    generator seeded with (seed, restart_index).  All restarts run together
+    through one limited-memory BFGS (_lbfgs) fed with the plan's values and
+    exact gradients, and each leaves the batch when it stops; a restart's
+    result does not depend on how many others run.  Results are sorted by
+    (objective_value, restart_index); non-convergent restarts are kept,
+    flagged converged=False.
     """
-    # imported here, not at module level: no other part of flatsic needs scipy
-    from scipy.optimize import minimize as _scipy_minimize
-
     half = (config.dim.d - 1) // 2
-    f = _plan(config)
-    results = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng([config.seed, r])
-        start = rng.uniform(0.0, 2.0 * np.pi, half)
-        res = _scipy_minimize(
-            f,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": config.max_iterations,
-                "ftol": 1e-20,
-                "gtol": 1e-14,
-            },
+    starts = np.array(
+        [
+            np.random.default_rng([config.seed, r]).uniform(0.0, 2.0 * np.pi, half)
+            for r in range(config.restarts)
+        ]
+    )
+    results = [
+        SearchResult(
+            angles=tuple(x.tolist()),
+            objective_value=float(value),
+            restart_index=int(r),
+            iterations=int(iterations),
+            converged=bool(value < config.convergence_threshold),
+            evaluations=int(evaluations),
+            status=int(status),
         )
-        value = float(res.fun)
-        results.append(
-            SearchResult(
-                angles=tuple(float(v) for v in res.x),
-                objective_value=value,
-                restart_index=r,
-                iterations=int(res.nit),
-                converged=bool(value < config.convergence_threshold),
-                evaluations=int(res.nfev),
-                status=int(res.status),
-            )
+        for r, x, value, iterations, evaluations, status in _lbfgs(
+            _plan(config), starts, config.max_iterations
         )
+    ]
     results.sort(key=lambda t: (t.objective_value, t.restart_index))
     return results[0], results
+
+
+def _lbfgs(f, x: np.ndarray, max_iterations: int):
+    """Limited-memory BFGS (Liu and Nocedal, Math. Programming 45, 1989) from
+    every row of x at once, in lockstep.
+
+    f maps an (R, n) array of points to their R values and (R, n) gradient.
+    Every loop evaluates f once, at the trial points of all rows still
+    running, and each row then accepts its trial point (the Armijo test),
+    backtracks along its direction, or stops.  A row's arithmetic never
+    mixes in another row, so its path is the same in any batch.
+
+    The first trial step along a fresh direction is 1, or min(1, 1/|g|) for
+    a row without curvature pairs; a backtrack takes the minimizer of the
+    quadratic through f(0), f'(0) and f(t), kept within [t/10, t/2].  A pair
+    with s.y <= 0 is not stored, and a direction that does not descend
+    clears the row's pairs.  A line search fails after _MAX_TRIALS trial
+    points, or as soon as its trial point rounds to the current point.  A
+    row stops with status 0 by its own test (_FTOL, _GTOL, checked first),
+    with status 1 after max_iterations accepted steps, and with status 2
+    when a line search fails from no pairs; a failure with pairs stored
+    clears them and retries along -g.
+
+    Yields (row, point, value, iterations, evaluations, status) for each
+    row as it stops.
+    """
+    count, n = x.shape
+    rows = np.arange(count)
+    fx, gx = f(x)
+    pairs = _Pairs(count, n)
+    iterations = np.zeros(count, dtype=np.int64)
+    evaluations = np.ones(count, dtype=np.int64)
+    trials = np.zeros(count, dtype=np.int64)
+    status = np.where(np.abs(gx).max(axis=1) <= _GTOL, 0, -1)
+    fresh = status < 0  # rows that need a new direction
+    p, slope, t = np.zeros((count, n)), np.zeros(count), np.zeros(count)
+    while True:
+        stopped = status >= 0
+        if stopped.any():
+            for i in np.flatnonzero(stopped):
+                yield rows[i], x[i], fx[i], iterations[i], evaluations[i], status[i]
+            running = ~stopped
+            if not running.any():
+                return
+            pairs.keep(running)
+            rows, x, fx, gx, p, slope, t, fresh, iterations, evaluations, trials, status = (
+                a[running]
+                for a in (rows, x, fx, gx, p, slope, t, fresh, iterations, evaluations, trials, status)
+            )
+
+        direction = pairs.direction(gx)
+        descent = _row_dot(gx, direction)
+        ascent = fresh & ~(descent < 0.0)
+        if ascent.any():
+            pairs.clear(ascent)
+            direction[ascent] = -gx[ascent]
+            descent = _row_dot(gx, direction)
+        first = np.where(pairs.count > 0, 1.0, np.minimum(1.0, 1.0 / np.sqrt(_row_dot(gx, gx))))
+        p = np.where(fresh[:, None], direction, p)
+        slope = np.where(fresh, descent, slope)
+        t = np.where(fresh, first, t)
+        trials[fresh] = 0
+
+        trial = x + t[:, None] * p
+        ft, gt = f(trial)
+        evaluations += 1
+        trials += 1
+        accept = ft <= fx + _ARMIJO * t * slope
+        s, y = trial - x, gt - gx
+        sy = _row_dot(s, y)
+        store = accept & (sy > 0.0)
+        if store.any():
+            pairs.push(store, s, y, sy)
+        flat = fx - ft <= _FTOL * np.maximum(np.maximum(np.abs(fx), np.abs(ft)), 1.0)
+        own_test = accept & (flat | (np.abs(gt).max(axis=1) <= _GTOL))
+        iterations += accept
+        capped = accept & ~own_test & (iterations >= max_iterations)
+        failed = ~accept & ((trials >= _MAX_TRIALS) | (trial == x).all(axis=1))
+        retry = failed & (pairs.count > 0)
+        if retry.any():
+            pairs.clear(retry)
+        status[own_test] = 0
+        status[capped] = 1
+        status[failed & ~retry] = 2
+
+        back = np.flatnonzero(~accept & ~failed)
+        if back.size:  # the quadratic's denominator is positive where Armijo fails
+            tb, sb = t[back], slope[back]
+            quadratic = -sb * tb * tb / (2.0 * (ft[back] - fx[back] - sb * tb))
+            t[back] = np.clip(quadratic, 0.1 * tb, 0.5 * tb)
+        x = np.where(accept[:, None], trial, x)
+        fx = np.where(accept, ft, fx)
+        gx = np.where(accept[:, None], gt, gx)
+        fresh = (accept & ~own_test & ~capped) | retry
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return (a * b).sum(axis=1)
+
+
+class _Pairs:
+    """The curvature pairs (s, y) of each row of a batch, at most _MEMORY of
+    them, with what the compact form of the inverse Hessian needs (Byrd,
+    Nocedal and Schnabel, Math. Programming 63, 1994, eq. 3.1), updated as
+    each pair arrives so that no system is solved per step.
+
+    A row's pairs sit oldest first in the last `count` of the _MEMORY slots;
+    unused slots hold zero pairs, which drop out of every product.  stack
+    is [S; Y] (the s of each slot, then the y), rinv the inverse of R, the
+    upper triangle of S'Y with 1 on the diagonal of unused slots, and gamma
+    = s.y / y.y of the newest pair (1 without pairs).  R stays upper
+    triangular, so dropping the oldest pair keeps the trailing block of
+    rinv, and adding a pair borders it.
+    """
+
+    def __init__(self, count: int, n: int):
+        m = _MEMORY
+        self.stack = np.zeros((count, 2 * m, n))
+        self.rinv = np.broadcast_to(np.eye(m), (count, m, m)).copy()
+        self.gamma = np.ones(count)
+        self.count = np.zeros(count, dtype=np.int64)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.stack, self.rinv = self.stack[mask], self.rinv[mask]
+        self.gamma, self.count = self.gamma[mask], self.count[mask]
+
+    def clear(self, mask: np.ndarray) -> None:
+        self.stack[mask] = 0.0
+        self.rinv[mask] = np.eye(_MEMORY)
+        self.gamma[mask] = 1.0
+        self.count[mask] = 0
+
+    def push(self, mask: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+        """Add the pair (s, y) to each row of mask, where s.y = sy > 0,
+        dropping the row's oldest pair when all slots are in use.  The new
+        state is computed for every row and kept where mask holds."""
+        m = _MEMORY
+        stack = np.concatenate(
+            (self.stack[:, 1:m], s[:, None], self.stack[:, m + 1 :], y[:, None]), axis=1
+        )
+        border = stack[:, : m - 1] @ y[..., None]  # s_j . y for the pairs kept
+        inv = 1.0 / np.where(mask, sy, 1.0)
+        kept = self.rinv[:, 1:, 1:]
+        rinv = np.zeros_like(self.rinv)
+        rinv[:, :-1, :-1] = kept
+        rinv[:, :-1, -1:] = (kept @ border) * -inv[:, None, None]
+        rinv[:, -1, -1] = inv
+        self.stack = np.where(mask[:, None, None], stack, self.stack)
+        self.rinv = np.where(mask[:, None, None], rinv, self.rinv)
+        np.divide(sy, _row_dot(y, y), out=self.gamma, where=mask)
+        self.count = np.where(mask, np.minimum(self.count + 1, m), self.count)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g for each row: H g = gamma g + S'u - gamma Y'v with
+        v = R^-1 S g and u = R^-T ((D + gamma Y Y') v - gamma Y g), where S
+        and Y hold one pair per row and D is the diagonal of R; -g for a
+        row without pairs."""
+        m = _MEMORY
+        gamma = self.gamma[:, None, None]
+        s_mem, y_mem = self.stack[:, :m], self.stack[:, m:]
+        products = self.stack @ g[..., None]  # [S g; Y g]
+        v = self.rinv @ products[:, :m]
+        y_v = np.swapaxes(y_mem, 1, 2) @ v
+        diag = 1.0 / np.diagonal(self.rinv, axis1=1, axis2=2)[..., None]
+        u = np.swapaxes(self.rinv, 1, 2) @ (diag * v + gamma * (y_mem @ y_v - products[:, m:]))
+        return ((gamma * y_v - np.swapaxes(s_mem, 1, 2) @ u)[..., 0]) - self.gamma[:, None] * g
 
 
 def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
@@ -298,7 +521,11 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
 
 
 def search_results_json(config: SearchConfig, results: list[SearchResult]) -> str:
-    """Config echo plus the sorted result list, as JSON."""
-    echo = {"d": config.dim.d, **asdict(config)}
-    del echo["dim"]
-    return json.dumps({"config": echo, "results": [asdict(r) for r in results]}, indent=2)
+    """Config echo plus the sorted result list, as JSON.  Each record is
+    built from the dataclass fields directly; dataclasses.asdict would
+    deep-copy every angle first."""
+    echo = {"d": config.dim.d}
+    echo.update((f.name, getattr(config, f.name)) for f in fields(config) if f.name != "dim")
+    names = [f.name for f in fields(SearchResult)]
+    records = [{name: getattr(r, name) for name in names} for r in results]
+    return json.dumps({"config": echo, "results": records}, indent=2)

@@ -161,9 +161,10 @@ def naive_x_residual(psi: CVec) -> float:
 
 def _naive_x_gaps(c: np.ndarray) -> np.ndarray:
     """|c_m|^2 - 1/(d+1) at every lag m of an autocorrelation c, lag 0 set
-    to 0; at lag m = -j this is |<Psi|X^j|Psi>|^2 - 1/(d+1)."""
-    gaps = np.abs(c) ** 2 - 1.0 / (c.shape[0] + 1.0)
-    gaps[0] = 0.0
+    to 0; at lag m = -j this is |<Psi|X^j|Psi>|^2 - 1/(d+1).  The lags run
+    along the last axis of c."""
+    gaps = np.abs(c) ** 2 - 1.0 / (c.shape[-1] + 1.0)
+    gaps[..., 0] = 0.0
     return gaps
 
 

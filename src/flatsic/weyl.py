@@ -301,12 +301,18 @@ def clock_shift_rows(psi, rows) -> np.ndarray:
 
     Row j is d * ifft(conj(psi) * X^j psi).  These rows carry no tau phase,
     so the squared overlap moduli and G(i,k) are read from them.  No
-    normalization is applied.
+    normalization is applied.  psi may be a CVec or an array of shape
+    (..., d) with leading batch axes; the rows of each vector then come out
+    along the same axes, shape (..., len(rows), d), computed exactly as for
+    that vector alone.
     """
-    arr = _carray(psi)
-    d = arr.shape[0]
+    arr = psi.components if isinstance(psi, CVec) else np.asarray(psi, dtype=np.complex128)
+    d = arr.shape[-1]
     j = np.asarray(rows, dtype=np.int64)[:, None] % d
-    return d * np.fft.ifft(np.conj(arr) * arr[(np.arange(d) - j) % d])
+    # np.take, unlike arr[..., idx], returns C order for a batch too, so each
+    # vector's rows are transformed exactly as they would be alone
+    shifted = np.take(arr, (np.arange(d) - j) % d, axis=-1)
+    return d * np.fft.ifft(np.conj(arr)[..., None, :] * shifted)
 
 
 def overlap_rows(psi, rows) -> np.ndarray:

@@ -448,25 +448,26 @@ class TestSearchMatch:
         [
             (
                 ("--d", "7", "--objective", "xoverlap", "--seed", "42", "--restarts", "10"),
-                "a802ecd1bc7ce9e6fcec235f5459f24d24605a69c678f63ebdd7466deae322d7",
-                "d588dfa5284c636f416f5eaab55a9ae06af3e1ca190ce022575811474edfd8f2",
+                "9ce1cd2dd7142f024d3c47eb139cf3c06268d670a45a56c3fe5f97a233acda18",
+                "1a1e7421615a41b8d2629fd7f8734b6b401a9adbd1f924bb8b558e7315921044",
             ),
             (
                 ("--d", "11", "--objective", "naive_x", "--seed", "123", "--restarts", "10"),
-                "432e85ea134a472e0aff0ac752140e099569cec0ad80d277a99b78f22768526a",
-                "59dd04187e5f6634688d9665f0058f8fbf14741bb834867cf67779210d4c1b49",
+                "043cbbd3fed001ee65e642776d09e9ae907c1709cbe7c6e21ae89e3c3e538ea9",
+                "199cbe44dadca6f8337daa182b484d6c5c03ec8d78944e2459353ff49d2dc7fb",
             ),
             (
                 ("--d", "7", "--objective", "sic", "--seed", "5", "--restarts", "5"),
-                "ce13822ec43d41b17d372366a69ef494239c46d9f6f38b5fcc1950f78c697220",
-                "422caf5db0b2941a92ed0d043543d4abaccfb11650b6eed993dc6c8f11445b91",
+                "a656ddbe58626b43f72ec22c016d7cb9a6a39791e2d411b966b7a10988b3a419",
+                "0bcfc1dee77894bc31a4b53eb8370e7663f64ca9780b0c3ff60517c151c52edb",
             ),
             (
                 ("--d", "19", "--objective", "xoverlap", "--seed", "7", "--restarts", "5"),
-                "f75192cd63dc874f7ee7537edb4998a9e49f00f1a86d4af5738c9b20ac634f40",
-                "7c4471eab7f4184c3588a3eb159baded8174741580583849c67af734224c1a28",
+                "babf4684328e589df9dac9828f647c2746e385fadab8e6be37bfd5ff4795cf64",
+                "aaadd5d747bd6afdb1b5bc7b6030c6f9244248eb421e46a76ac3c1a8f900944c",
             ),
         ],
+        ids=["xoverlap-d7", "naive_x-d11", "sic-d7", "xoverlap-d19"],
     )
     def test_search_outputs_are_pinned(
         self, capsys, tmp_path, monkeypatch, argv, stdout_digest, out_digest

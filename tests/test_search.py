@@ -1,6 +1,8 @@
 """Multistart search: determinism, objective consistency, and matching."""
 
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -249,6 +251,55 @@ class TestReproducibility:
             assert [t for t in alone if t.restart_index == r] == [by_index[r]]
 
 
+class TestBatch:
+    """A restart's result and a point's evaluation do not depend on the rest
+    of the batch they run in."""
+
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    @pytest.mark.parametrize("d, max_iterations", [(11, 30), (FFT_D, 3)])
+    def test_restart_result_independent_of_batch_size(self, obj, d, max_iterations):
+        runs = [
+            {
+                r.restart_index: r
+                for r in minimize(
+                    config(d, obj=obj, seed=11, restarts=restarts, max_iterations=max_iterations)
+                )[1]
+            }
+            for restarts in (1, 2, 5, 40)
+        ]
+        for r in (0, 1, 4):
+            alone_or_among = [run[r] for run in runs if r in run]
+            assert all(result == runs[-1][r] for result in alone_or_among)
+        if d == 11:  # restarts left the batch at different steps
+            assert len({(t.status, t.iterations) for t in runs[-1].values()}) > 1
+
+    @pytest.mark.parametrize("obj", ["xoverlap", "sic", "naive_x"])
+    @pytest.mark.parametrize("d", [11, FFT_D])
+    def test_single_point_is_a_row_of_the_batch(self, obj, d):
+        cfg = config(d, obj=obj)
+        angles = np.random.default_rng(d).uniform(0, 2 * np.pi, (7, (d - 1) // 2))
+        values, grads = flatsic.search._plan(cfg)(angles)
+        for r in range(len(angles)):
+            value, grad = objective_and_gradient(cfg, angles[r])
+            assert value == values[r]
+            assert np.array_equal(grad, grads[r])
+
+    def test_sic_evaluation_memory_is_bounded(self):
+        # unsliced, 50 rows at d = 199 hold a few 50-table arrays of about
+        # 32 MB each at once
+        d, rows = DENSE_D, 50
+        evaluate = flatsic.search._plan(config(d, obj="sic"))
+        angles = np.random.default_rng(5).uniform(0, 2 * np.pi, (rows, (d - 1) // 2))
+        tracemalloc.start()
+        try:
+            evaluate(angles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * max(flatsic.search._SIC_TABLE_BYTES, 16 * d * d)
+        assert peak < 16 * d * d * rows
+
+
 class TestMinimize:
     def test_deterministic(self):
         cfg = config(7, restarts=4, max_iterations=120)
@@ -370,3 +421,11 @@ class TestJson:
         }
         assert first["objective_value"] == best.objective_value
         assert tuple(first["angles"]) == best.angles
+
+    def test_payload_equals_the_asdict_payload(self):
+        cfg = config(7, restarts=3, max_iterations=50)
+        _, results = minimize(cfg)
+        echo = {"d": 7, **asdict(cfg)}
+        del echo["dim"]
+        expect = json.dumps({"config": echo, "results": [asdict(r) for r in results]}, indent=2)
+        assert search_results_json(cfg, results) == expect

@@ -74,27 +74,6 @@ def _defined_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _scipy_minimize_calls(tree: ast.Module) -> list[ast.Call]:
-    """Calls made inside `minimize` to scipy.optimize.minimize, under any alias."""
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize"
-        for alias in node.names
-        if alias.name == "minimize"
-    }
-    (func,) = [
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "minimize"
-    ]
-    return [
-        node
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in aliases
-    ]
-
-
 def _search_tree() -> ast.Module:
     return ast.parse(Path(flatsic.search.__file__).read_text(encoding="utf-8"))
 
@@ -105,12 +84,43 @@ def test_search_defines_no_finite_difference_gradient():
     assert "_GRADIENT_STEP" not in names
 
 
-def test_search_minimizer_takes_gradient_from_objective():
-    calls = _scipy_minimize_calls(_search_tree())
-    assert len(calls) == 1
-    jac = [kw.value for kw in calls[0].keywords if kw.arg == "jac"]
-    assert len(jac) == 1
-    assert isinstance(jac[0], ast.Constant) and jac[0].value is True
+def test_search_minimizer_evaluates_only_the_plan(monkeypatch):
+    # minimize builds one plan and takes every value and gradient from it:
+    # the evaluations its results count are the rows the plan's function was
+    # given, and the single-point entry points are never called.  Nor does
+    # search.py define a finite-difference step or import an outside minimizer.
+    plans, rows = [], []
+    plan = flatsic.search._plan
+
+    def counting_plan(config):
+        evaluate = plan(config)
+        plans.append(config)
+
+        def counted(angles):
+            rows.append(len(angles))
+            return evaluate(angles)
+
+        return counted
+
+    def forbidden(*args):
+        raise AssertionError("minimize evaluated outside its plan")
+
+    monkeypatch.setattr(flatsic.search, "_plan", counting_plan)
+    monkeypatch.setattr(flatsic.search, "objective", forbidden)
+    monkeypatch.setattr(flatsic.search, "objective_and_gradient", forbidden)
+    config = flatsic.SearchConfig(dim=11, objective="naive_x", seed=4, restarts=6)
+    _, results = flatsic.search.minimize(config)
+    assert plans == [config]
+    assert sum(rows) == sum(r.evaluations for r in results)
+    tree = _search_tree()
+    assert not {"_central_diff_grad", "_GRADIENT_STEP"} & _defined_names(tree)
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not {name for name in imported if name and name.split(".")[0] == "scipy"}
 
 
 def _called_names(node: ast.AST) -> set[str]:
@@ -390,12 +400,21 @@ def test_only_the_cli_reads_the_file_format_module():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing the CLI loads no scipy.optimize, and a search loads no scipy
+    # at all: the minimizer is the package's own
     env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
-    probe = "import sys, flatsic.cli; print('scipy.optimize' in sys.modules)"
+    probe = (
+        "import sys, flatsic.cli\n"
+        "imported = 'scipy.optimize' in sys.modules\n"
+        "argv = ['--porcelain', 'search', '--d', '7', '--objective', 'xoverlap',"
+        " '--seed', '1', '--restarts', '2']\n"
+        "code = flatsic.cli.main(argv)\n"
+        "print(imported, code, 'scipy' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
-    assert result.stdout.strip() == "False", result.stderr
+    assert result.stdout.splitlines()[-1:] == ["False 0 False"], result.stderr
 
 
 def _numpy_fft_owners(source: str) -> list[str | None]:
