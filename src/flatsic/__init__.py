@@ -66,8 +66,6 @@ from .verify import (
     OverlapTable,
     SicReport,
     check_tolerance,
-    gik_fourier,
-    gik_quartic,
     gik_residual,
     gik_table,
     gik_table_csv,
@@ -87,7 +85,6 @@ from .weyl import (
     is_prime,
     make_dimension,
     norm_tolerance,
-    tau_power,
 )
 
 __version__ = "0.1.0"

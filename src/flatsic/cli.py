@@ -221,6 +221,8 @@ def _cmd_lemma1(args, rep: _Reporter) -> int:
 
 
 def _cmd_polysys(args, rep: _Reporter) -> int:
+    if rep.porcelain and not args.export:
+        raise ValueError("polysys --porcelain needs --export: generator lines are not key=value")
     system = build_system(args.d, args.symmetry)
     text = export_system(system, args.format)
     rep.kv("d", system.dim.d)

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import _unit_components
-from .weyl import CVec, Dim, _carray, autocorrelation, clock_shift_rows, overlap_rows
+from .weyl import CVec, Dim, autocorrelation, clock_shift_rows, overlap_rows
 
 __all__ = [
     "OverlapTable",
     "SicReport",
     "overlap_table",
-    "gik_quartic",
-    "gik_fourier",
     "gik_residual",
     "gik_table",
     "is_sic",
@@ -92,41 +90,6 @@ def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
     return float(maxima[worst]), pairs[worst], float(np.max(gik))
 
 
-def gik_quartic(psi, i: int, k: int) -> complex:
-    """G(i,k) as the direct quartic sum over the components.
-
-    Accepts a CVec or plain array; no normalization is applied, so the
-    Fourier-side identity holds for arbitrary vectors.
-    """
-    arr = _carray(psi)
-    d = arr.shape[0]
-    i %= d
-    k %= d
-    up = np.roll(arr, -i)  # up[r] = arr[(r+i) % d]
-    uk = np.roll(arr, -k)
-    upk = np.roll(arr, -((i + k) % d))
-    return complex(np.sum(np.conj(up) * np.conj(uk) * arr * upk))
-
-
-def gik_fourier(psi, i: int, k: int) -> complex:
-    """G(i,k) as (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2.
-
-    Evaluates the clock-shift overlaps directly; agrees with gik_quartic for
-    every vector, normalized or not.
-    """
-    arr = _carray(psi)
-    d = arr.shape[0]
-    i %= d
-    k %= d
-    r = np.arange(d)
-    shifted = np.roll(arr, i)  # (X^i psi)_r = psi_{r-i}
-    total = 0j
-    for j in range(d):
-        ov = np.vdot(arr, np.exp(2j * np.pi * ((j * ((r - i) % d)) % d) / d) * shifted)
-        total += np.exp(2j * np.pi * ((k * j) % d) / d) * abs(ov) ** 2
-    return complex(total / d)
-
-
 def gik_residual(psi: CVec) -> float:
     """max over all (i,k) of |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|.
 
@@ -140,8 +103,9 @@ def gik_residual(psi: CVec) -> float:
 def gik_table(psi: CVec) -> np.ndarray:
     """The full d x d table of G(i,k) values for the normalized vector.
 
-    Row i is (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2 (the identity
-    gik_fourier evaluates), the inverse FFT of squared clock-shift moduli.
+    Row i is (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2, the inverse FFT
+    of squared clock-shift moduli.  The package computes G(i,k) only here and
+    in _scan.
     """
     unit, _ = _unit_components(psi)
     table = np.fft.ifft(np.abs(clock_shift_rows(unit, np.arange(unit.shape[0]))) ** 2)

@@ -11,7 +11,6 @@ All operations are pure functions; vectors are immutable after construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "norm_tolerance",
     "is_prime",
     "make_dimension",
-    "tau_power",
     "cvec",
     "basis_vector",
     "apply_displacement",
@@ -125,13 +123,6 @@ def make_dimension(d: int) -> Dim:
 
 def _as_dim(dim: Dim | int) -> Dim:
     return dim if isinstance(dim, Dim) else make_dimension(dim)
-
-
-def tau_power(d: int, m: int) -> complex:
-    """tau^m = (-1)^m exp(i pi m / d), reduced mod 2d before exponentiating."""
-    mm = m % (2 * d)
-    val = cmath.exp(1j * math.pi * mm / d)
-    return -val if mm & 1 else val
 
 
 #: Slack for the v-form and rescaled invariants, which vector files state
@@ -260,6 +251,13 @@ def _carray(psi) -> np.ndarray:
     return arr
 
 
+def _tau_phase(d: int, m) -> np.ndarray:
+    """tau^m = (-1)^m exp(i pi m / d) for an integer or integer array m, the
+    exponent reduced mod 2d first.  The only place tau^m is computed."""
+    m = np.asarray(m) % (2 * d)
+    return np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
+
+
 def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     """Apply D_{j,k} = tau^{jk} X^j Z^k without materializing a matrix.
 
@@ -273,7 +271,7 @@ def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     k %= d
     r = np.arange(d)
     phases = np.exp(2j * np.pi * ((k * ((r - j) % d)) % d) / d)
-    out = tau_power(d, j * k) * phases * np.roll(psi.components, j)
+    out = _tau_phase(d, j * k) * phases * np.roll(psi.components, j)
     return CVec(psi.dim, out, psi.form)
 
 
@@ -286,8 +284,7 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
 
 # Spectral kernel.  Every displacement-overlap quantity of the package is read
 # from the three functions below; apply_displacement and inner_product stay
-# as the entry-by-entry definitions the tests compare against (z_shift is
-# apply_displacement at j = 0).
+# as the entry-by-entry definitions (z_shift is apply_displacement at j = 0).
 
 
 def autocorrelation(arr) -> np.ndarray:
@@ -319,11 +316,9 @@ def overlap_rows(psi, rows) -> np.ndarray:
     """<psi|D_{j,k}|psi> for every j in rows and every k, shape (len(rows), d).
 
     D_{j,k} = tau^{-jk} Z^k X^j, so row j is clock_shift_rows row j times
-    tau^{-jk}, the exponent reduced mod 2d as in tau_power.  The only place
-    the tau convention enters a table.  No normalization is applied.
+    tau^{-jk}.  The only place the tau convention enters a table.  No
+    normalization is applied.
     """
     d = _carray(psi).shape[0]
     j = np.asarray(rows, dtype=np.int64)[:, None] % d
-    m = (-j * np.arange(d)) % (2 * d)
-    phases = np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
-    return clock_shift_rows(psi, rows) * phases
+    return clock_shift_rows(psi, rows) * _tau_phase(d, -j * np.arange(d))

@@ -1,4 +1,5 @@
-"""Shared test helpers: published solution vectors and explicit-matrix oracles.
+"""Shared test helpers: published solution vectors, explicit-matrix oracles
+and the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum).
 
 The catalog vectors are hard-coded from their closed-form components so that
 the package code is checked against independently constructed data.
@@ -111,6 +112,40 @@ def displacement_matrix(d: int, j: int, k: int) -> np.ndarray:
     return tau ** (j * k) * (
         np.linalg.matrix_power(X, j) @ np.linalg.matrix_power(Z, k)
     )
+
+
+def _components(psi) -> np.ndarray:
+    return np.asarray(psi.components if isinstance(psi, CVec) else psi, dtype=complex)
+
+
+def gik_quartic(psi) -> np.ndarray:
+    """Every G(i,k) as the direct quartic sum over the components,
+    G(i,k) = sum_r conj(psi_{r+i}) conj(psi_{r+k}) psi_r psi_{r+i+k},
+    as a d x d table.  Accepts a CVec or plain array; no normalization is
+    applied, so the Fourier-side identity holds for arbitrary vectors."""
+    a = _components(psi)
+    d = a.shape[0]
+    n = np.arange(d)
+    up = a[(n[:, None] + n) % d]  # up[i, r] = psi_{r+i}
+    table = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        # row i: sum over r of conj(psi_{r+k}) psi_{r+i+k} times conj(psi_{r+i}) psi_r
+        table[i] = (np.conj(up) * np.roll(up, -i, axis=0)) @ (np.conj(up[i]) * a)
+    return table
+
+
+def gik_fourier(psi) -> np.ndarray:
+    """Every G(i,k) = (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2 as a d x d
+    table, with the clock-shift overlaps and the sum over j both taken as
+    products with an explicit omega-power matrix (no FFT).  Agrees with
+    gik_quartic for every vector, normalized or not."""
+    a = _components(psi)
+    d = a.shape[0]
+    n = np.arange(d)
+    omega = np.exp(2j * np.pi * ((n[:, None] * n) % d) / d)  # omega^{jr}
+    # <Psi|X^i Z^j|Psi> = sum_s conj(psi_{s+i}) omega^{js} psi_s
+    overlaps = (np.conj(a[(n[:, None] + n) % d]) * a) @ omega
+    return np.abs(overlaps) ** 2 @ omega / d
 
 
 def random_complex(rng, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Ansatz construction, overlap residuals, and the row-sum identity."""
 
+import functools
 import json
 import math
 
@@ -13,6 +14,8 @@ from helpers import (
     random_unit,
     rescaled_cvec,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flatsic import (
@@ -38,6 +41,16 @@ from flatsic import (
 
 def random_ansatz(rng, d, ghost=False):
     return build_ansatz(d, rng.uniform(0, 2 * np.pi, (d - 1) // 2), ghost=ghost)
+
+
+PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@functools.cache
+def _row_sums(d: int) -> np.ndarray:
+    """sum_k D_{m,k} for every m, as explicit matrices (oracle path)."""
+    return np.array([sum(displacement_matrix(d, m, k) for k in range(d)) for m in range(d)])
 
 
 @pytest.mark.parametrize(
@@ -264,16 +277,18 @@ class TestZShift:
         for k in range(1, 7):
             assert x_overlap_residual(z_shift(psi, k)) < 1e-11
 
-    def test_residual_invariance(self):
+    @PROPERTY
+    @given(seed=SEEDS)
+    def test_residual_invariance(self, seed):
         # clock shifts change each per-index deviation only by a phase
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            psi = to_normalized(random_ansatz(rng, 7))
-            base = x_overlap_deviations(psi)
-            for k in range(1, 7):
-                assert_allclose(
-                    x_overlap_deviations(z_shift(psi, k)), base, atol=1e-12
-                )
+        d = 7
+        psi = to_normalized(random_ansatz(np.random.default_rng(seed), d))
+        base = x_overlap_deviations(psi)
+        for k in range(1, d):
+            shifted = z_shift(psi, k)
+            expect = displacement_matrix(d, 0, k) @ psi.components
+            assert_allclose(shifted.components, expect, atol=1e-13)
+            assert_allclose(x_overlap_deviations(shifted), base, atol=1e-12)
 
     def test_form_preserved(self):
         x = rescaled_cvec(d7_solution(-1))
@@ -297,12 +312,18 @@ class TestRowIdentity:
         assert_allclose(total, expect, atol=1e-12)
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9, 19])
-    def test_random_vectors_all_j(self, d):
-        rng = np.random.default_rng(d + 17)
-        for _ in range(5):
-            psi = random_complex(rng, d)
-            for j in range(1, d):
-                assert displacement_row_identity(psi, j).deviation < 1e-12
+    @PROPERTY
+    @given(seed=SEEDS)
+    def test_random_vectors_all_j(self, d, seed):
+        psi = random_complex(np.random.default_rng(seed), d)
+        # the matrix oracle rounds tau^{jk} at every entry, so it is held to
+        # a bound that scales with the squared norm
+        oracle_tol = 1e-12 * np.vdot(psi, psi).real
+        for j in range(1, d):
+            report = displacement_row_identity(psi, j)
+            assert report.deviation < 1e-12
+            oracle = np.vdot(psi, _row_sums(d)[(-2 * j) % d] @ psi)
+            assert abs(report.lhs - oracle) < oracle_tol
 
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -348,6 +348,12 @@ class TestPolysys:
         assert code == 0
         assert "x1*x6 + x0" in out
 
+    def test_porcelain_needs_export(self, capsys):
+        # the generator lines are not key=value pairs, so nothing is printed
+        code, out, err = run(capsys, "--porcelain", "polysys", "--d", "7")
+        assert (code, out) == (2, "")
+        assert "--porcelain needs --export" in err
+
     def test_symmetry_flag(self, capsys, tmp_path):
         out_path = str(tmp_path / "sys67.txt")
         code, _, _ = run(

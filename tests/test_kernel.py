@@ -2,9 +2,9 @@
 
 Every table and residual below comes from the batched FFT kernel in
 flatsic.weyl; the expected values are built here from apply_displacement,
-inner_product, gik_quartic and np.roll/np.vdot loops, none of which calls the
-kernel.  The input vector is normalized here too, without flatsic's form
-conversions.
+inner_product, helpers.gik_quartic and np.roll/np.vdot loops, none of which
+calls the kernel.  The input vector is normalized here too, without
+flatsic's form conversions.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_complex, random_unit
+from helpers import gik_quartic, random_complex, random_unit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -24,7 +24,6 @@ from flatsic import (
     build_ansatz,
     build_legendre_vector,
     cvec,
-    gik_quartic,
     gik_residual,
     gik_table,
     inner_product,
@@ -36,7 +35,6 @@ from flatsic import (
     objective,
     overlap_table,
     perron_counts,
-    tau_power,
     to_normalized,
     to_rescaled,
     to_vform,
@@ -90,11 +88,6 @@ def _oracle_overlaps(unit: np.ndarray) -> np.ndarray:
     )
 
 
-def _oracle_gik(unit: np.ndarray) -> np.ndarray:
-    d = unit.shape[0]
-    return np.array([[gik_quartic(unit, i, k) for k in range(d)] for i in range(d)])
-
-
 def _gik_target(d: int) -> np.ndarray:
     target = np.zeros((d, d))
     target[0, :] += 1.0
@@ -123,7 +116,8 @@ def test_clock_shift_rows_are_the_overlap_rows_without_tau(vec):
     rows = clock_shift_rows(unit, np.arange(d))
     moduli_sq = np.abs(_oracle_overlaps(unit)) ** 2
     assert_allclose(np.abs(rows) ** 2, moduli_sq, rtol=0, atol=TOL)
-    tau = np.array([[tau_power(d, -j * k) for k in range(d)] for j in range(d)])
+    n = np.arange(d)
+    tau = (-np.exp(1j * np.pi / d)) ** ((-np.outer(n, n)) % (2 * d))
     assert_allclose(overlap_rows(unit, np.arange(d)), rows * tau, rtol=0, atol=TOL)
 
 
@@ -141,7 +135,7 @@ def test_row_minus_j_is_row_j_with_columns_reversed(parity, half, j, seed):
 
 @pytest.mark.parametrize("vec", ALL)
 def test_gik_table_matches_quartic_oracle(vec):
-    expect = _oracle_gik(_unit(vec))
+    expect = gik_quartic(_unit(vec))
     assert_allclose(gik_table(vec), expect, rtol=0, atol=TOL)
     residual = np.abs(expect - _gik_target(vec.d)).max()
     assert gik_residual(vec) == pytest.approx(residual, abs=TOL)
@@ -191,7 +185,7 @@ def test_sic_objective_matches_quartic_sum(d):
     for _ in range(3):
         angles = rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2)
         unit = _unit(to_vform(build_ansatz(d, angles)))
-        expect = np.sum(np.abs(_oracle_gik(unit) - _gik_target(d)) ** 2)
+        expect = np.sum(np.abs(gik_quartic(unit) - _gik_target(d)) ** 2)
         assert objective(cfg, angles) == pytest.approx(expect, abs=TOL)
 
 
@@ -203,7 +197,7 @@ def test_block_reductions_match_oracle_tables():
     report = is_sic(vec)
     assert report.max_modulus_deviation == pytest.approx(dev.max(), abs=TOL)
     assert dev[report.worst_pair] == pytest.approx(dev.max(), abs=TOL)
-    residual = np.abs(_oracle_gik(vec.components) - _gik_target(131)).max()
+    residual = np.abs(gik_quartic(vec.components) - _gik_target(131)).max()
     assert report.gik_max_deviation == pytest.approx(residual, abs=TOL)
 
 

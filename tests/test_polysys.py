@@ -30,6 +30,7 @@ from flatsic import (
     x_overlap_residual,
     z_shift,
 )
+from flatsic.polysys import _D7_BASIS
 
 
 def mono(d, *idx):
@@ -229,6 +230,27 @@ class TestD7ComponentBasis:
     def test_length_check(self):
         with pytest.raises(ValueError, match="expected a point of length 7"):
             check_d7_component_basis(np.zeros(5))
+
+    def test_basis_is_the_reduced_lex_groebner_basis(self):
+        # second route: sympy derives the basis from the symmetric d = 7
+        # system; both sides are made monic, so each generator is compared
+        # up to a rational factor
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0:7")
+        order = (*xs[1:], xs[0])  # x1 > ... > x6 > x0
+
+        def monic(e):
+            return sympy.Poly(e, *order).monic().as_expr()
+
+        def expr(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(xs[v] for v in m))
+                for m, c in p.monomials.items()
+            )
+
+        basis = sympy.groebner([expr(p) for p in build_system(7, 2).polys], *order, order="lex")
+        assert len(basis.exprs) == len(_D7_BASIS)
+        assert {monic(e) for e in basis.exprs} == {monic(expr(p)) for p in _D7_BASIS}
 
 
 class TestExport:

@@ -323,6 +323,9 @@ def test_second_paths_stay_removed():
         "ansatz_from_json",
         "classification_csv_header",
         "classification_csv_row",
+        "gik_quartic",
+        "gik_fourier",
+        "tau_power",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__

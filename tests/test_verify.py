@@ -11,18 +11,20 @@ from helpers import (
     d7_solution,
     d19_solution,
     d67_solution,
+    gik_fourier,
+    gik_quartic,
     normalize_rescaled,
     random_complex,
     random_unit,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flatsic import (
     basis_vector,
     build_legendre_vector,
     cvec,
-    gik_fourier,
-    gik_quartic,
     gik_residual,
     gik_table,
     gik_table_csv,
@@ -94,39 +96,37 @@ class TestSicResidual:
 
 class TestGik:
     def test_g00_is_fourth_moment(self):
-        assert gik_quartic(D3_FIDUCIAL, 0, 0) == pytest.approx(0.5, abs=1e-14)
+        assert gik_quartic(D3_FIDUCIAL)[0, 0] == pytest.approx(0.5, abs=1e-14)
         rng = np.random.default_rng(2)
         psi = random_unit(rng, 6)
         expect = np.sum(np.abs(psi.components) ** 4)
-        assert gik_quartic(psi, 0, 0) == pytest.approx(expect, abs=1e-13)
+        assert gik_quartic(psi)[0, 0] == pytest.approx(expect, abs=1e-13)
 
     def test_gi0_for_sic(self):
-        psi = normalize_rescaled(d7_solution(+1))
+        table = gik_quartic(normalize_rescaled(d7_solution(+1)))
         for i in range(1, 7):
-            assert gik_quartic(psi, i, 0) == pytest.approx(1.0 / 8.0, abs=1e-11)
+            assert table[i, 0] == pytest.approx(1.0 / 8.0, abs=1e-11)
 
     def test_basis_vector_disjoint_support(self):
-        assert gik_quartic(basis_vector(5, 0), 1, 1) == 0
+        assert gik_quartic(basis_vector(5, 0))[1, 1] == 0
 
     @pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
-    def test_quartic_equals_fourier(self, d):
-        rng = np.random.default_rng(d)
-        psi = random_complex(rng, d)  # deliberately unnormalized
-        for i in range(d):
-            for k in range(d):
-                assert abs(gik_quartic(psi, i, k) - gik_fourier(psi, i, k)) < 1e-12
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_quartic_equals_fourier(self, d, seed):
+        psi = random_complex(np.random.default_rng(seed), d)  # deliberately unnormalized
+        assert np.abs(gik_quartic(psi) - gik_fourier(psi)).max() < 1e-12
 
-    def test_quartic_equals_fourier_d50_sampled(self):
-        rng = np.random.default_rng(50)
-        psi = random_unit(rng, 50)
-        pairs = rng.integers(0, 50, size=(40, 2))
-        for i, k in pairs:
-            assert abs(gik_quartic(psi, i, k) - gik_fourier(psi, i, k)) < 1e-12
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_quartic_equals_fourier_d50_sampled(self, seed):
+        psi = random_unit(np.random.default_rng(seed), 50)
+        assert np.abs(gik_quartic(psi) - gik_fourier(psi)).max() < 1e-12
 
     def test_fourier_examples(self):
-        assert gik_fourier(basis_vector(5, 0), 0, 0) == pytest.approx(1.0, abs=1e-13)
+        assert gik_fourier(basis_vector(5, 0))[0, 0] == pytest.approx(1.0, abs=1e-13)
         psi = normalize_rescaled(d7_solution(-1))
-        assert abs(gik_fourier(psi, 1, 2)) < 1e-10
+        assert abs(gik_fourier(psi)[1, 2]) < 1e-10
 
     def test_residual_solutions(self):
         assert gik_residual(normalize_rescaled(d7_solution(-1))) < 1e-11

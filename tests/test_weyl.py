@@ -15,7 +15,6 @@ from flatsic import (
     cvec,
     inner_product,
     make_dimension,
-    tau_power,
     to_rescaled,
     to_vform,
     z_shift,
@@ -75,10 +74,15 @@ class TestIsPrime:
 
 class TestPhaseConstants:
     def test_tau_power_reduction(self):
-        d = 7
-        tau = -np.exp(1j * np.pi / d)
-        for m in (-5, 0, 3, 13, 10**9 + 7):
-            assert abs(tau_power(d, m) - tau ** (m % (2 * d))) < 1e-12
+        # every pair here has j k >= 2d once j and k are reduced mod d, so
+        # apply_displacement must reduce tau^{jk} mod 2d; tau has order 2d
+        # for even d, so a reduction mod d shows at d = 6
+        for d in (6, 7):
+            psi = random_unit(np.random.default_rng(70 + d), d)
+            for j, k in [(d - 1, d - 1), (d - 2, d - 1), (-1, -2), (10**9 * d - 1, 2 * d - 3)]:
+                assert (j % d) * (k % d) >= 2 * d
+                expect = displacement_matrix(d, j, k) @ psi.components
+                assert_allclose(apply_displacement(psi, j, k).components, expect, atol=1e-12)
 
 
 class TestCVec:
@@ -181,9 +185,10 @@ class TestApplyDisplacement:
         # D_{j,k} D_{j',k'} = tau^{j'k - jk'} D_{j+j',k+k'}
         rng = np.random.default_rng(11 + d)
         psi = random_unit(rng, d)
+        tau = -np.exp(1j * np.pi / d)
         for j, k, jp, kp in [(1, 0, 0, 1), (1, 2, 2, 1), (d - 1, 1, 1, d - 1), (2, 2, 1, 0)]:
             lhs = apply_displacement(apply_displacement(psi, jp, kp), j, k).components
-            rhs = tau_power(d, jp * k - j * kp) * apply_displacement(
+            rhs = tau ** ((jp * k - j * kp) % (2 * d)) * apply_displacement(
                 psi, j + jp, k + kp
             ).components
             assert_allclose(lhs, rhs, atol=1e-13)
