@@ -159,14 +159,16 @@ def _cmd_xoverlap(args, rep: _Reporter) -> int:
 
 
 def _cmd_gik(args, rep: _Reporter) -> int:
+    if not args.csv and (args.table or args.moduli):
+        raise ValueError("gik --table and --moduli need --csv: they shape the CSV table")
     vec = _load_vector(args.file)
     rep.kv("d", vec.dim.d)
     rep.kv("gik_residual", rep.num(gik_residual(vec)))
     if args.csv:
-        if args.table == "gik":
-            text = gik_table_csv(vec, moduli_only=args.moduli)
-        else:
+        if args.table == "overlap":
             text = overlap_table_csv(overlap_table(vec), moduli_only=args.moduli)
+        else:
+            text = gik_table_csv(vec, moduli_only=args.moduli)
         Path(args.csv).write_text(text, encoding="utf-8")
         rep.kv("csv", args.csv)
     return 0
@@ -323,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--csv", help="write a table as CSV")
     p.add_argument("--moduli", action="store_true", help="export moduli only")
-    p.add_argument("--table", choices=["gik", "overlap"], default="gik")
+    p.add_argument("--table", choices=["gik", "overlap"], help="table to write (default gik)")
     p.set_defaults(handler=_cmd_gik)
 
     p = sub.add_parser("prop1", help="displacement row-sum identity at one index")

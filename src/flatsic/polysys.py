@@ -7,7 +7,11 @@ X-overlap equation becomes, after eliminating conjugates via
 conj(x_r) = x_{d-r}, the moduli via |x_j|^2 = -x_0, and the surd via
 sqrt(d+1) = -(x_0+2), the cubic generators
 
-    P_j = sum_m x_m x_{2j-m mod d} - (x_0 + 1) x_j^2,      j = 1..d-1.
+    P_j = sum_m x_m x_{2j-m mod d} - (x_0 + 1) x_j^2
+        = 2 sum_{a<b, a+b = 2j mod d} x_a x_b - x_0 x_j^2,      j = 1..d-1,
+
+built in that closed form.  A Poly is canonical when it is built: zero terms
+are dropped and every coefficient is stored as an exact Fraction.
 
 The polynomialization is a derived identity, so build_system output is
 validated by evaluating the generators at known solution vectors before any
@@ -23,10 +27,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -49,15 +52,21 @@ __all__ = [
 @dataclass(frozen=True)
 class Poly:
     """Polynomial in x_0..x_{d-1}; monomials maps each monomial to its
-    nonzero rational coefficient.  A monomial is the tuple of its variable
-    indices, one entry per power, in the variable order x_1 < ... < x_{d-1}
-    < x_0: x_0 x_j^2 is (j, j, 0) and the constant monomial is ()."""
+    nonzero rational coefficient.  Building a Poly drops zero terms and
+    converts every coefficient to an exact Fraction.  A monomial is the
+    tuple of its variable indices, one entry per power, in the variable
+    order x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
+    monomial is ()."""
 
     d: int
     monomials: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "monomials", dict(self.monomials))
+        # the one place a polynomial is made canonical; Fractions are shared
+        clean = {
+            m: c if type(c) is Fraction else Fraction(c) for m, c in self.monomials.items() if c
+        }
+        object.__setattr__(self, "monomials", clean)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -87,23 +96,15 @@ class Poly:
 
 
 def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
-    """Build a Poly from dense exponent tuples of length d, dropping zero
-    terms."""
+    """Build a Poly from dense exponent tuples of length d."""
     order = _var_order(d)
-    clean: dict[tuple[int, ...], Fraction] = {}
+    monomials = {}
     for exps, coeff in terms.items():
         exps = tuple(int(e) for e in exps)
         if len(exps) != d or min(exps, default=0) < 0:
             raise ValueError(f"exponent vector {exps} is not {d} nonnegative integers")
-        coeff = Fraction(coeff)
-        if coeff:
-            clean[tuple(v for v in order for _ in range(exps[v]))] = coeff
-    return Poly(d=d, monomials=clean)
-
-
-def _from_monomials(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
-    """Poly with the nonzero terms of a monomial-keyed dict."""
-    return Poly(d=d, monomials={mono: Fraction(c) for mono, c in terms.items() if c})
+        monomials[tuple(v for v in order for _ in range(exps[v]))] = coeff
+    return Poly(d, monomials)
 
 
 @dataclass(frozen=True)
@@ -131,26 +132,23 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
             raise ValueError(
                 f"symmetry multiplier must be coprime to d, got m={symmetry_multiplier}"
             )
-    gens: list[Poly] = []
-    for j in range(1, (d - 1) // 2 + 1):
-        gens.append(_from_monomials(d, {(j, d - j): 1, (0,): 1}))
-    gens.append(_from_monomials(d, {(0, 0): 1, (0,): 4, (): 3 - d}))
+    gens = [Poly(d, {(j, d - j): 1, (0,): 1}) for j in range(1, (d - 1) // 2 + 1)]
+    gens.append(Poly(d, {(0, 0): 1, (0,): 4, (): 3 - d}))
+    two, minus_one = Fraction(2), Fraction(-1)
     for j in range(1, d):
-        # sum_m x_m x_{2j-m} as counts of index pairs (x_0 last), first seen at
-        # m = min; the -x_j^2 of -(x_0 + 1) x_j^2 cancels the m = j term
-        pairs = Counter()
+        # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2, pairs keyed with x_0 last
+        cubic = {}
         for a in range(d):
             b = (2 * j - a) % d
-            lo, hi = (a, b) if a < b else (b, a)
-            pairs[(lo, hi) if lo else (hi, 0)] += 1
-        pairs[j, j] -= 1
-        pairs[j, j, 0] = -1
-        gens.append(_from_monomials(d, pairs))
+            if a < b:
+                cubic[(a, b) if a else (b, 0)] = two
+        cubic[j, j, 0] = minus_one
+        gens.append(Poly(d, cubic))
     if m is not None:
         for j in range(1, d):
             t = (m * j) % d
             if t != j:
-                gens.append(_from_monomials(d, {(j,): 1, (t,): -1}))
+                gens.append(Poly(d, {(j,): 1, (t,): -1}))
     return PolySystem(dim=dim, polys=tuple(gens), symmetry_multiplier=m)
 
 
@@ -162,19 +160,12 @@ def eval_system(system: PolySystem, point) -> list[float]:
 
 # Known lexicographic basis of the permutation-symmetric component of the
 # d=7 system (x1 = x2 = x4, x3 = x5 = x6); hard-coded verbatim.
-def _d7_component_basis() -> tuple[Poly, ...]:
-    half = Fraction(1, 2)
-    gens = []
-    for j in (1, 2, 4):
-        gens.append(_from_monomials(7, {(j,): 1, (6,): 1, (0,): half, (): -1}))
-    for j in (3, 5):
-        gens.append(_from_monomials(7, {(j,): 1, (6,): -1}))
-    gens.append(_from_monomials(7, {(6, 6): 1, (6, 0): half, (6,): -1, (0,): -1}))
-    gens.append(_from_monomials(7, {(0, 0): 1, (0,): 4, (): -4}))
-    return tuple(gens)
-
-
-_D7_BASIS = _d7_component_basis()
+_D7_BASIS = (
+    *(Poly(7, {(j,): 1, (6,): 1, (0,): Fraction(1, 2), (): -1}) for j in (1, 2, 4)),
+    *(Poly(7, {(j,): 1, (6,): -1}) for j in (3, 5)),
+    Poly(7, {(6, 6): 1, (6, 0): Fraction(1, 2), (6,): -1, (0,): -1}),
+    Poly(7, {(0, 0): 1, (0,): 4, (): -4}),
+)
 
 
 def check_d7_component_basis(point) -> float:
@@ -221,58 +212,60 @@ def _poly_line(p: Poly) -> str:
     return " ".join(parts)
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d and int() also accept the digits of other scripts
+_VAR_RE = re.compile(r"x([0-9]+)")
+_FACTOR_RE = re.compile(_VAR_RE.pattern + r"(?:\^([0-9]{1,4}))?|(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_poly(line: str, d: int) -> Poly:
-    """Parse one plain-format polynomial line back to exact rationals."""
+    """Parse one plain-format polynomial line back to exact rationals.
+
+    Grammar, with tokens separated by whitespace and ASCII digits only:
+
+        line   = ["-"]term {("+" | "-") term}
+        term   = factor {"*" factor}
+        factor = "x"index["^"exponent] | ["-"]integer["/"integer]
+
+    Every index is below d, an exponent has at most four digits and a
+    denominator is nonzero.  A malformed line raises ValueError naming the
+    token that breaks the grammar.
+    """
     tokens = line.split()
     if not tokens:
         raise ValueError("empty polynomial line")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    sign = 1
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if pos > 0:
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise ValueError(f"expected '+' or '-' between terms, got {tok!r}")
-            pos += 1
-            if pos >= len(tokens):
-                raise ValueError("dangling sign at end of line")
-            tok = tokens[pos]
-        else:
-            sign = 1
-            if tok.startswith("-"):
-                sign = -1
-                tok = tok[1:]
-        coeff = Fraction(sign)
+    head = tokens[0]
+    signs = ["-" if head.startswith("-") else "+", *tokens[1::2]]
+    bodies = [head.removeprefix("-"), *tokens[2::2]]
+    terms = {}
+    for sign, body in zip_longest(signs, bodies):
+        if sign not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-' between terms, got {sign!r}")
+        if not body:
+            raise ValueError(f"dangling sign {sign!r} with no term")
+        coeff = Fraction(1 if sign == "+" else -1)
         indices = []
-        for factor in tok.split("*"):
-            m = _FACTOR_RE.match(factor)
-            if m:
-                idx = int(m.group(1))
-                if idx >= d:
-                    raise ValueError(f"variable x{idx} out of range for d={d}")
-                indices += [idx] * int(m.group(2) or 1)
-                continue
-            m = _COEFF_RE.match(factor)
-            if m:
-                den = int(m.group(2) or 1)
-                if den == 0:
-                    raise ValueError(f"coefficient {factor!r}: denominators must be nonzero")
-                coeff *= Fraction(int(m.group(1)), den)
-                continue
-            raise ValueError(f"cannot parse factor {factor!r}")
+        for factor in body.split("*"):
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ValueError(
+                    f"cannot parse factor {factor!r} of term {body!r}: expected "
+                    "x<index>[^<exponent of at most 4 digits>] or <integer>[/<integer>]"
+                )
+            try:  # int() refuses more than sys.get_int_max_str_digits() digits
+                var, exp, num, den = (None if g is None else int(g) for g in m.groups())
+            except ValueError as exc:
+                raise ValueError(f"factor {factor!r}: {exc}") from None
+            if var is not None:
+                if var >= d:
+                    raise ValueError(f"variable {factor!r} out of range for d={d}")
+                indices += [var] * (1 if exp is None else exp)
+            elif den == 0:
+                raise ValueError(f"coefficient {factor!r}: denominators must be nonzero")
+            else:
+                coeff *= Fraction(num, den or 1)
         key = tuple(sorted(indices, key=lambda v: v or d))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-        pos += 1
-    return _from_monomials(d, terms)
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly(d, terms)
 
 
 def export_system(system: PolySystem, format: str = "plain") -> str:
@@ -310,7 +303,7 @@ def parse_system(text: str, d: int | None = None) -> PolySystem:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if d is None:
-        seen = [int(m) for ln in lines for m in re.findall(r"x(\d+)", ln)]
+        seen = [int(m) for ln in lines for m in _VAR_RE.findall(ln)]
         if not seen:
             raise ValueError("cannot infer dimension: no variables in input")
         d = max(seen) + 1

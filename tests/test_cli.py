@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestGikProp1:
         code, out, _ = run(capsys, "--porcelain", "gik", d7_file, "--csv", csv_path)
         assert code == 0
         assert float(porcelain_dict(out)["gik_residual"]) < 1e-10
-        rows = list(csv.reader(open(csv_path)))
+        rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
         assert len(rows) == 8
 
     def test_gik_overlap_table_moduli(self, capsys, d7_file, tmp_path):
@@ -215,8 +216,15 @@ class TestGikProp1:
             capsys, "gik", d7_file, "--csv", csv_path, "--table", "overlap", "--moduli"
         )
         assert code == 0
-        rows = list(csv.reader(open(csv_path)))
+        rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
         assert float(rows[1][2]) == pytest.approx(1 / np.sqrt(8.0), abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [["--table", "overlap"], ["--moduli"], ["--table", "gik"]])
+    def test_table_flags_need_csv(self, capsys, d7_file, flags):
+        # without --csv the flags shaped nothing; nothing is printed
+        code, out, err = run(capsys, "--porcelain", "gik", d7_file, *flags)
+        assert (code, out) == (2, "")
+        assert "--table and --moduli need --csv" in err
 
     @pytest.mark.parametrize("table", ["gik", "overlap"])
     @pytest.mark.parametrize("d", [7, 131])  # d = 131 spans three blocks of the scan
@@ -259,7 +267,7 @@ class TestPerronLemma:
         pairs = porcelain_dict(out)
         assert pairs["p11_counts"] == "3,3,3,2"
         assert pairs["ok"] == "true"
-        rows = list(csv.reader(open(csv_path)))
+        rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
         assert rows[0][0] == "p"
         # one row per (p, a) for p in {3, 7, 11, 19, 23}
         assert len(rows) - 1 == sum(p - 1 for p in (3, 7, 11, 19, 23))

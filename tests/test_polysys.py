@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     NON_INTEGERS,
     d7_solution,
@@ -16,6 +19,7 @@ from helpers import (
 )
 
 from flatsic import (
+    Poly,
     PolySystem,
     build_system,
     check_d7_component_basis,
@@ -65,6 +69,21 @@ def reference_system(d, m=None):
             if (m * j) % d != j:
                 gens.append(poly(d, {mono_mod(j): 1, mono_mod(m * j): -1}))
     return PolySystem(dim=make_dimension(d), polys=tuple(gens), symmetry_multiplier=m)
+
+
+def sympy_expr(sympy, p):
+    """A Poly as a sympy expression in the symbols x0..x_{d-1}."""
+    xs = sympy.symbols(f"x0:{p.d}")
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(xs[v] for v in m))
+        for m, c in p.monomials.items()
+    )
+
+
+def lex_order(sympy, d):
+    """The symbols in the export's variable order x1 > ... > x_{d-1} > x0."""
+    xs = sympy.symbols(f"x0:{d}")
+    return (*xs[1:], xs[0])
 
 
 def d7_ghost_points():
@@ -236,21 +255,43 @@ class TestD7ComponentBasis:
         # system; both sides are made monic, so each generator is compared
         # up to a rational factor
         sympy = pytest.importorskip("sympy")
-        xs = sympy.symbols("x0:7")
-        order = (*xs[1:], xs[0])  # x1 > ... > x6 > x0
+        order = lex_order(sympy, 7)
 
         def monic(e):
             return sympy.Poly(e, *order).monic().as_expr()
 
-        def expr(p):
-            return sum(
-                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(xs[v] for v in m))
-                for m, c in p.monomials.items()
-            )
-
-        basis = sympy.groebner([expr(p) for p in build_system(7, 2).polys], *order, order="lex")
+        exprs = [sympy_expr(sympy, p) for p in build_system(7, 2).polys]
+        basis = sympy.groebner(exprs, *order, order="lex")
         assert len(basis.exprs) == len(_D7_BASIS)
-        assert {monic(e) for e in basis.exprs} == {monic(expr(p)) for p in _D7_BASIS}
+        assert {monic(e) for e in basis.exprs} == {monic(sympy_expr(sympy, p)) for p in _D7_BASIS}
+
+
+class TestD19ResidueComponent:
+    def test_reduced_lex_basis_is_two_legendre_pairs(self):
+        # <4> is the set of quadratic residues mod 19, so this pins by exact
+        # algebra that the <4>-symmetric solutions are the two Legendre
+        # vectors on each x0 branch
+        sympy = pytest.importorskip("sympy")
+        order = lex_order(sympy, 19)
+        x18, x0 = order[-2:]
+        exprs = [sympy_expr(sympy, p) for p in build_system(19, 4).polys]
+        basis = [sympy.Poly(e, *order) for e in sympy.groebner(exprs, *order, order="lex").exprs]
+        assert len(basis) == 19
+        assert [g.total_degree() for g in basis[:17]] == [1] * 17
+        assert basis[17].as_expr() == x18**2 + 2 * x18 - x0
+        assert basis[18].as_expr() == x0**2 + 4 * x0 - 16
+        # every leading monomial is a power of its own variable, so the ideal
+        # is zero-dimensional and the standard monomials number the product
+        # of those powers: 1, x18, x0 and x18*x0
+        leads = [g.monoms(order="lex")[0] for g in basis]
+        assert all(sum(map(bool, e)) == 1 for e in leads)
+        assert sorted(e.index(max(e)) for e in leads) == list(range(19))
+        assert math.prod(max(e) for e in leads) == 4
+        for coeff in (-1, +1):
+            x = d19_solution(coeff)
+            point = dict(zip(order, (*x[1:], x[0])))
+            for g in basis:
+                assert abs(complex(g.as_expr().evalf(subs=point))) < 1e-10
 
 
 class TestExport:
@@ -303,6 +344,47 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_poly("x1 +", 7)
 
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("x1^99999999999999999999", "x1^99999999999999999999"),  # beyond the 4-digit bound
+            ("x1^1000000000", "x1^1000000000"),
+            ("x\u0661", "x\u0661"),  # ARABIC-INDIC DIGIT ONE, which \d and int() accept
+            ("x1*x\u0662 + 1", "x\u0662"),
+            ("x" + "1" * 5000, "x" + "1" * 5000),  # beyond int()'s digit limit
+            ("1" * 5000 + "*x1", "1" * 5000),
+            ("x1 x2", "x2"),
+            ("x1 + +", "+"),
+        ],
+        ids=[
+            "exponent-20-digits",
+            "exponent-10-digits",
+            "non-ascii-index",
+            "non-ascii-second-factor",
+            "index-5000-digits",
+            "coefficient-5000-digits",
+            "missing-sign",
+            "sign-as-term",
+        ],
+    )
+    def test_parse_poly_names_the_bad_token(self, line, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            parse_poly(line, 7)
+
+    def test_parse_system_infers_d_from_ascii_digits(self):
+        with pytest.raises(ValueError, match=re.escape(repr("x\u0669"))):
+            parse_system("x1 + x\u0669")
+
+    def test_poly_drops_zero_terms_and_stores_fractions(self):
+        p = Poly(7, {(1,): 0, (2,): 1})
+        q = Poly(7, {(1,): 0.5})
+        assert p.monomials == {(2,): 1} and q.monomials == {(1,): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in (*p.monomials.values(), *q.monomials.values()))
+        for poly_, line in ((p, "x2"), (q, "1/2*x1")):
+            text = export_system(PolySystem(dim=make_dimension(7), polys=(poly_,)))
+            assert text == line + "\n"
+            assert parse_system(text, 7).polys == (poly_,)
+
     @pytest.mark.parametrize("line", ["1/0*x1", "x1 + 3/0", "-x2*5/0*x0"])
     def test_parse_poly_zero_denominator(self, line):
         with pytest.raises(ValueError, match="denominators must be nonzero"):
@@ -326,6 +408,37 @@ class TestExport:
     def test_infer_dimension(self):
         system = parse_system("x1*x6 + x0\nx0^2 + 4*x0 - 4")
         assert system.dim.d == 7
+
+
+@st.composite
+def sparse_polys(draw):
+    """A Poly with a few terms: index tuples below d in variable order (x0
+    last), exponents up to 3, small Fraction coefficients, zeros included."""
+    d = draw(st.integers(2, 9))
+    powers = st.dictionaries(st.integers(0, d - 1), st.integers(1, 3), max_size=3)
+    monos = powers.map(
+        lambda pw: tuple(v for v in sorted(pw, key=lambda v: v or d) for _ in range(pw[v]))
+    )
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return Poly(d, draw(st.dictionaries(monos, coeffs, max_size=6)))
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(line=st.text(alphabet="x0123456789^*/+- \u0661", max_size=30), d=st.integers(2, 12))
+    def test_any_text_parses_or_raises_value_error(self, line, d):
+        try:
+            p = parse_poly(line, d)
+        except ValueError:
+            return
+        assert isinstance(p, Poly)
+        assert all(c and type(c) is Fraction for c in p.monomials.values())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=sparse_polys())
+    def test_export_parse_round_trip(self, p):
+        text = export_system(PolySystem(dim=make_dimension(p.d), polys=(p,)))
+        assert parse_system(text, p.d).polys == (p,)
 
 
 class TestManifest:
