@@ -8,10 +8,8 @@ a failing SIC check or a failed match), 2 on usage or input errors.  With
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -199,11 +197,12 @@ def _cmd_perron(args, rep: _Reporter) -> int:
         )
     rep.kv("ok", str(ok).lower())
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(f.name for f in dataclasses.fields(legendre_mod.PerronCounts))
-        writer.writerows(np.concatenate([table for _, table in sweep]).tolist())
-        Path(args.csv).write_text(buf.getvalue(), encoding="utf-8")
+        names = [f.name for f in dataclasses.fields(legendre_mod.PerronCounts)]
+        row_text = ",".join(["%d"] * len(names)) + "\n"
+        lines = [",".join(names) + "\n"]
+        for _, table in sweep:  # one `%` per prime
+            lines.append(row_text * len(table) % tuple(table.ravel().tolist()))
+        Path(args.csv).write_text("".join(lines), encoding="utf-8")
         rep.kv("csv", args.csv)
     return 0 if ok else 1
 

@@ -19,7 +19,8 @@ export is trusted (the tests do exactly that).
 
 Gröbner bases themselves are out of scope: systems are exported for external
 computer-algebra engines, and candidate points are only checked for
-membership numerically.
+membership numerically.  export_system writes the text in one pass over the
+generators, byte for byte the same for the same system.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -189,29 +191,6 @@ def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
 
 
-def _poly_line(p: Poly) -> str:
-    if not p.monomials:
-        return "0"
-    ordered = sorted(
-        p.monomials.items(), key=lambda item: (-len(item[0]), [v or p.d for v in item[0]])
-    )
-    parts = []
-    for pos, (indices, coeff) in enumerate(ordered):
-        powers = [(v, len(list(run))) for v, run in groupby(indices)]
-        mono = "*".join(f"x{v}^{n}" if n > 1 else f"x{v}" for v, n in powers)
-        num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        if mono:
-            body = mono if mag == "1" else f"{mag}*{mono}"
-        else:
-            body = mag
-        if pos == 0:
-            parts.append(body if num > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if num > 0 else "- ") + body)
-    return " ".join(parts)
-
-
 # ASCII digits only: \d and int() also accept the digits of other scripts
 _VAR_RE = re.compile(r"x([0-9]+)")
 _FACTOR_RE = re.compile(_VAR_RE.pattern + r"(?:\^([0-9]{1,4}))?|(-?[0-9]+)(?:/([0-9]+))?")
@@ -268,19 +247,59 @@ def parse_poly(line: str, d: int) -> Poly:
     return Poly(d, terms)
 
 
+class _VarNames(dict):
+    """The text "x<v>" of each variable index v, formatted on first use."""
+
+    def __missing__(self, v: int) -> str:
+        self[v] = name = f"x{v}"
+        return name
+
+
 def export_system(system: PolySystem, format: str = "plain") -> str:
     """Render a system as text.
 
     "plain" is one polynomial per line in the deterministic term order;
     "cas-script" wraps the same lines in a generic ring declaration and a
-    lexicographic Gröbner basis request.  Output is byte-stable.
+    lexicographic Gröbner basis request.  Output is byte-stable.  One loop
+    formats every generator: the variable names are made once per call and
+    each term's index runs are counted as it is written.  A coefficient
+    whose integers exceed the interpreter's digit limit for integer text
+    raises ValueError naming its generator and term.
     """
-    lines = [_poly_line(p) for p in system.polys]
+    names, lines = _VarNames(), []
+    for g, p in enumerate(system.polys):
+        d, parts = p.d, []
+        for mono, coeff in sorted(
+            p.monomials.items(), key=lambda item: (-len(item[0]), [v or d for v in item[0]])
+        ):
+            factors, prev, run = [], None, 0
+            for v in mono:  # a run of one index is written as a power
+                if v != prev:
+                    if run:
+                        factors.append(f"{names[prev]}^{run}" if run > 1 else names[prev])
+                    prev, run = v, 0
+                run += 1
+            if run:
+                factors.append(f"{names[prev]}^{run}" if run > 1 else names[prev])
+            num, den = coeff.numerator, coeff.denominator
+            try:
+                mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            except ValueError:  # str() refuses an int longer than sys.get_int_max_str_digits()
+                raise ValueError(
+                    f"generator {g}, term {'*'.join(factors) or 'constant'}: the coefficient "
+                    f"has more than {sys.get_int_max_str_digits()} digits, the limit for "
+                    "integer text that parse_poly also enforces"
+                ) from None
+            if mag != "1" or not factors:
+                factors.insert(0, mag)
+            parts.append(("+ " if num > 0 else "- ") + "*".join(factors))
+        if parts:  # the leading term carries only a minus sign
+            parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
+        lines.append(" ".join(parts) or "0")
     if format == "plain":
         return "\n".join(lines) + "\n"
     if format == "cas-script":
-        d = system.dim.d
-        variables = ", ".join(f"x{v}" for v in _var_order(d))
+        variables = ", ".join(f"x{v}" for v in _var_order(system.dim.d))
         out = [
             "# polynomial system over the rationals",
             f"# variables in lexicographic order: {variables}",

@@ -13,8 +13,6 @@ whose SIC target is (delta_{i,0} + delta_{k,0}) / (d+1).
 
 from __future__ import annotations
 
-import csv
-import io
 import numbers
 from dataclasses import dataclass
 
@@ -177,23 +175,19 @@ def check_tolerance(tol: float, name: str = "tolerance") -> float:
     return float(tol)
 
 
-def _complex_cell(z: complex) -> str:
-    return f"{z.real:.17g},{z.imag:.17g}"
-
-
 def _table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:
     """CSV rendering of a square table: header row of column indices, then
-    one row per row index with cells "re,im" (or moduli)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner] + [str(k) for k in range(entries.shape[1])])
-    for row, values in enumerate(entries):
-        if moduli_only:
-            cells = [f"{abs(z):.17g}" for z in values]
-        else:
-            cells = [_complex_cell(z) for z in values]
-        writer.writerow([str(row)] + cells)
-    return buf.getvalue()
+    one row per row index with cells "re,im" (or moduli).  Each row is one
+    `%` over its floats, quoted as csv.writer quotes them; a modulus is
+    Python's abs of its numpy entry, which np.abs over the row can miss in
+    the last bit."""
+    n = entries.shape[1]
+    row_text = ",".join(["%d"] + ["%.17g" if moduli_only else '"%.17g,%.17g"'] * n) + "\n"
+    lines = [",".join([corner, *map(str, range(n))]) + "\n"]
+    for row, values in enumerate(np.ascontiguousarray(entries, dtype=np.complex128)):
+        cells = map(abs, values) if moduli_only else values.view(np.float64).tolist()
+        lines.append(row_text % (row, *cells))
+    return "".join(lines)
 
 
 def overlap_table_csv(table: OverlapTable, moduli_only: bool = False) -> str:

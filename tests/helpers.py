@@ -1,15 +1,20 @@
-"""Shared test helpers: published solution vectors, explicit-matrix oracles
-and the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum).
+"""Shared test helpers: published solution vectors, explicit-matrix oracles,
+the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum) and
+the byte oracles of the exported texts (one formatted string per term or per
+cell).
 
 The catalog vectors are hard-coded from their closed-form components so that
 the package code is checked against independently constructed data.
 """
 
+import csv
+import io
 import json
+from itertools import groupby
 
 import numpy as np
 
-from flatsic import CVec, cvec
+from flatsic import CVec, Poly, cvec
 from flatsic.weyl import _LOAD_TOL
 
 # quadratic residues, computed here by brute squaring (independent of the
@@ -155,3 +160,51 @@ def random_complex(rng, d: int) -> np.ndarray:
 def random_unit(rng, d: int) -> CVec:
     v = random_complex(rng, d)
     return cvec(v / np.linalg.norm(v))
+
+
+# ---------------------------------------------------------------------------
+# byte oracles: the exported texts written one term or one cell at a time
+
+
+def poly_line(p: Poly) -> str:
+    """One generator line of export_system, formatted term by term."""
+    if not p.monomials:
+        return "0"
+    ordered = sorted(
+        p.monomials.items(), key=lambda item: (-len(item[0]), [v or p.d for v in item[0]])
+    )
+    parts = []
+    for pos, (indices, coeff) in enumerate(ordered):
+        powers = [(v, len(list(run))) for v, run in groupby(indices)]
+        mono = "*".join(f"x{v}^{n}" if n > 1 else f"x{v}" for v, n in powers)
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if mono:
+            body = mono if mag == "1" else f"{mag}*{mono}"
+        else:
+            body = mag
+        if pos == 0:
+            parts.append(body if num > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if num > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def _complex_cell(z: complex) -> str:
+    return f"{z.real:.17g},{z.imag:.17g}"
+
+
+def table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:
+    """CSV rendering of a square table through csv.writer, one formatted
+    string per cell: header row of column indices, then one row per row
+    index with cells "re,im" (or moduli)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([corner] + [str(k) for k in range(entries.shape[1])])
+    for row, values in enumerate(entries):
+        if moduli_only:
+            cells = [f"{abs(z):.17g}" for z in values]
+        else:
+            cells = [_complex_cell(z) for z in values]
+        writer.writerow([str(row)] + cells)
+    return buf.getvalue()

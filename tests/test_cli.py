@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: subcommands, exit codes, file formats."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     ZERO_D3_RESCALED,
     d7_solution,
@@ -245,6 +249,39 @@ class TestGikProp1:
             expected = overlap_table_csv(overlap_table(vec))
         assert csv_path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "sign, table, moduli, digest",
+        [
+            ("+", "gik", False, "f934b6f14f811b40e94173c784d3a26745bd9990cd182b47b23d55aa3d88d90b"),
+            ("+", "gik", True, "7b07a9c9facca980bdf8b672f8e8849fb5301f7fc83490d9f15c81313f2ab345"),
+            ("+", "overlap", False, "d8d4825cd2396a29572c6e3760bb8edd55190c08687f7f0401accdb4317ea167"),
+            ("+", "overlap", True, "094e4ad322ccd03f86f3933000c472b2eaff298330971c2f209f82167d00e5c4"),
+            ("-", "gik", False, "46b1eda4d34e6badbfc4af4adf431a2da057d1b8852d61cb8c4771ad3abd0b28"),
+            ("-", "gik", True, "d8d9d620e618a11f40bbf5b4b8662f5c382fc924a93359afad1e41c3d169e4ac"),
+            ("-", "overlap", False, "79e314598fdc6747f369d62caeddd8e1b40f17551b4b0cec615400634cd1d1fe"),
+            ("-", "overlap", True, "c323153022f0db9ce230094e03e976000d1846cd7e29dec15a29aa40fdc05846"),
+        ],
+        ids=[
+            "plus-gik", "plus-gik-moduli", "plus-overlap", "plus-overlap-moduli",
+            "minus-gik", "minus-gik-moduli", "minus-overlap", "minus-overlap-moduli",
+        ],
+    )
+    def test_table_csv_is_pinned(self, capsys, tmp_path, sign, table, moduli, digest):
+        # digests of the d = 43 Legendre tables (the benchmark's inputs) as
+        # written by csv.writer with one formatted string per cell, pinned
+        # before the writer formatted one row per `%`.  Both branches hold
+        # cells where np.abs and Python's abs differ in the last bit.
+        vec_path = tmp_path / "v.json"
+        run(capsys, "--porcelain", "legendre", "--d", "43", "--sign", sign, "--out", str(vec_path))
+        csv_path = tmp_path / "t.csv"
+        flags = ["--moduli"] if moduli else []
+        code, _, err = run(
+            capsys, "--porcelain", "gik", str(vec_path), "--table", table,
+            "--csv", str(csv_path), *flags,
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
     def test_prop1(self, capsys, d7_file):
         code, out, _ = run(capsys, "--porcelain", "prop1", d7_file, "--j", "2")
         assert code == 0
@@ -379,6 +416,44 @@ class TestPolysys:
         assert "groebner_basis" in (tmp_path / "sys.cas").read_text()
 
 
+_NOT_NUMBERS = ["abc", "", "nan", "inf", "-inf", "1e400", "2.5"]
+
+#: search flag -> (valid values, malformed values, texts naming the flag or
+#: its invariant).  None omits an optional flag.
+_SEARCH_FLAGS = {
+    "--d": (
+        st.sampled_from(["3", "5", "7"]),
+        [*_NOT_NUMBERS, "0", "-1", "-7", "1", "4", "8"],
+        ("--d", "dimension"),
+    ),
+    "--objective": (
+        st.sampled_from(["xoverlap", "sic", "naive_x"]),
+        ["abc", "", "nan", "1e400", "-1", "XOVERLAP", "naive"],
+        ("--objective",),
+    ),
+    "--seed": (
+        st.integers(0, 10**30).map(str),
+        [*_NOT_NUMBERS, "-1", "-5"],
+        ("--seed", "seed"),
+    ),
+    "--restarts": (
+        st.sampled_from(["1", "2"]),
+        [*_NOT_NUMBERS, "0", "-1"],
+        ("--restarts", "restarts"),
+    ),
+    "--max-iterations": (
+        st.sampled_from([None, "1", "2", "3"]),
+        [*_NOT_NUMBERS, "0", "-1"],
+        ("--max-iterations", "max_iterations"),
+    ),
+    "--threshold": (
+        st.one_of(st.sampled_from([None, "1e-16", "0.5", "4"]), st.floats(1e-300, 1e300).map(repr)),
+        ["abc", "", "0", "-0.0", "-1", "nan", "inf", "-inf", "1e400", "1e-400"],
+        ("--threshold", "convergence threshold"),
+    ),
+}
+
+
 class TestSearchMatch:
     def test_search_and_out(self, capsys, tmp_path):
         out_path = str(tmp_path / "res.json")
@@ -499,6 +574,31 @@ class TestSearchMatch:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
         assert hashlib.sha256((tmp_path / "res.json").read_bytes()).hexdigest() == out_digest
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_search_flags_fuzz(self, data):
+        # each flag gets a valid value or a malformed one; valid runs stay tiny
+        # (d <= 7, at most 2 restarts and 3 iterations).  A malformed value
+        # exits 2 with empty stdout and a message naming a malformed flag or
+        # its invariant; an all-valid run exits 0.  Nothing raises.
+        argv, malformed = ["--porcelain", "search"], []
+        for flag, (valid, bad, names) in _SEARCH_FLAGS.items():
+            ok = data.draw(st.integers(0, 3), label=f"{flag} valid") > 0
+            value = data.draw(valid if ok else st.sampled_from(bad), label=flag)
+            if value is not None:
+                argv += [flag, value]
+            if not ok:
+                malformed.append(names)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if not malformed:
+            assert (code, err.getvalue()) == (0, "")
+            assert porcelain_dict(out.getvalue())["restarts"] in ("1", "2")
+        else:
+            assert (code, out.getvalue()) == (2, "")
+            assert any(name in err.getvalue() for names in malformed for name in names)
 
     def test_match(self, capsys, tmp_path, d7_file):
         other = tmp_path / "other.json"

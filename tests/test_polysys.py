@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
     d19_solution,
     d67_solution,
     normalize_rescaled,
+    poly_line,
     random_complex,
 )
 
@@ -385,6 +387,26 @@ class TestExport:
             assert text == line + "\n"
             assert parse_system(text, 7).polys == (poly_,)
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ({(1,): 10**5000}, "generator 1, term x1"),
+            ({(2, 2, 0): Fraction(1, 10**5000)}, "generator 1, term x2^2*x0"),
+            ({(): -(10**5000)}, "generator 1, term constant"),
+        ],
+        ids=["numerator", "denominator", "constant"],
+    )
+    def test_export_names_a_coefficient_beyond_the_digit_limit(self, terms, message):
+        limit = sys.get_int_max_str_digits()
+        polys = (Poly(7, {(0,): 1}), Poly(7, {(3,): 1, **terms}))
+        expected = re.escape(f"{message}: the coefficient has more than {limit} digits")
+        with pytest.raises(ValueError, match=expected):
+            export_system(PolySystem(dim=make_dimension(7), polys=polys))
+        assert sys.get_int_max_str_digits() == limit
+        # the way back in enforces the same limit, naming the coefficient
+        with pytest.raises(ValueError, match=re.escape(repr("1" * 5000))):
+            parse_poly("1" * 5000 + "*x1", 7)
+
     @pytest.mark.parametrize("line", ["1/0*x1", "x1 + 3/0", "-x2*5/0*x0"])
     def test_parse_poly_zero_denominator(self, line):
         with pytest.raises(ValueError, match="denominators must be nonzero"):
@@ -411,13 +433,19 @@ class TestExport:
 
 
 @st.composite
-def sparse_polys(draw):
+def sparse_polys(draw, d=None):
     """A Poly with a few terms: index tuples below d in variable order (x0
-    last), exponents up to 3, small Fraction coefficients, zeros included."""
-    d = draw(st.integers(2, 9))
-    powers = st.dictionaries(st.integers(0, d - 1), st.integers(1, 3), max_size=3)
-    monos = powers.map(
-        lambda pw: tuple(v for v in sorted(pw, key=lambda v: v or d) for _ in range(pw[v]))
+    last), exponents up to 4, constant terms and powers of x0 among them,
+    small Fraction coefficients, zeros included.  d is drawn when not given."""
+    if d is None:
+        d = draw(st.integers(2, 9))
+    powers = st.dictionaries(st.integers(0, d - 1), st.integers(1, 4), max_size=3)
+    monos = st.one_of(
+        st.just(()),
+        st.integers(1, 4).map(lambda n: (0,) * n),
+        powers.map(
+            lambda pw: tuple(v for v in sorted(pw, key=lambda v: v or d) for _ in range(pw[v]))
+        ),
     )
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     return Poly(d, draw(st.dictionaries(monos, coeffs, max_size=6)))
@@ -439,6 +467,17 @@ class TestParseProperties:
     def test_export_parse_round_trip(self, p):
         text = export_system(PolySystem(dim=make_dimension(p.d), polys=(p,)))
         assert parse_system(text, p.d).polys == (p,)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=sparse_polys(), data=st.data())
+    def test_export_matches_term_by_term_oracle(self, p, data):
+        # parse_poly ignores term order, so the round trip cannot see a
+        # reordered term; the oracle formats one term at a time
+        polys = (p, *data.draw(st.lists(sparse_polys(p.d), max_size=2)))
+        system = PolySystem(dim=make_dimension(p.d), polys=polys)
+        assert export_system(system) == "".join(poly_line(q) + "\n" for q in polys)
+        script = export_system(system, format="cas-script").splitlines()
+        assert script[4:-2] == ["  " + poly_line(q) for q in polys]
 
 
 class TestManifest:

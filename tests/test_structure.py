@@ -327,6 +327,7 @@ def test_second_paths_stay_removed():
         "gik_fourier",
         "tau_power",
         "_from_monomials",
+        "_poly_line",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__
@@ -401,6 +402,37 @@ def test_only_the_cli_reads_the_file_format_module():
         if "vectorio" in _imported_flatsic_modules(Path(module.__file__).read_text("utf-8"))
     ]
     assert importers == []
+
+
+def _absolute_imports(source: str) -> set[str]:
+    """Dotted names of what the source imports from outside the package:
+    `import a.b` gives "a.b", `from a import b` gives "a.b"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_absolute_imports_sees_every_form():
+    source = (
+        "import csv\nimport os.path as p\nfrom itertools import groupby, chain\n"
+        "from . import verify\ndef f():\n    import io\n"
+    )
+    assert _absolute_imports(source) == {
+        "csv", "os.path", "itertools.groupby", "itertools.chain", "io"
+    }
+
+
+def test_text_writers_use_neither_csv_nor_groupby():
+    # each exported text is formatted one row, prime or generator at a time;
+    # csv.writer and a groupby per term cost one Python call per cell or term
+    for path in sorted(_PACKAGE.glob("*.py")):
+        imported = _absolute_imports(path.read_text(encoding="utf-8"))
+        assert not {name for name in imported if name.split(".")[0] == "csv"}, path.stem
+        assert "itertools.groupby" not in imported, path.stem
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

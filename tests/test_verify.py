@@ -16,6 +16,7 @@ from helpers import (
     normalize_rescaled,
     random_complex,
     random_unit,
+    table_csv,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,7 @@ from flatsic import (
     to_vform,
     z_shift,
 )
+from flatsic.verify import _table_csv
 
 D3_FIDUCIAL = cvec(np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0))
 
@@ -273,3 +275,20 @@ class TestCsv:
     def test_byte_stable(self):
         table = overlap_table(D3_FIDUCIAL)
         assert overlap_table_csv(table) == overlap_table_csv(table)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        data=st.data(),
+        corner=st.sampled_from(["j\\k", "i\\k"]),
+        moduli_only=st.booleans(),
+    )
+    def test_table_csv_matches_csv_writer_oracle(self, n, data, corner, moduli_only):
+        # one `%` per row against csv.writer with one formatted string per
+        # cell, on every float: a modulus beyond the largest float is inf
+        special = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e300]
+        special += [1e-300, -1e-300, 1.7e308, -1.7e308]
+        part = st.one_of(st.sampled_from(special), st.floats())
+        parts = data.draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n))
+        entries = np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+        assert _table_csv(entries, corner, moduli_only) == table_csv(entries, corner, moduli_only)
