@@ -25,7 +25,7 @@ from .weyl import (
     Dim,
     _carray,
     _odd_dim,
-    apply_displacement,
+    _omega_phase,
     autocorrelation,
     clock_shift_rows,
     overlap_rows,
@@ -175,12 +175,13 @@ def as_normalized(vec: CVec) -> CVec:
 
 
 def z_shift(psi: CVec, k: int) -> CVec:
-    """Apply Z^k = D_{0,k}: component r is multiplied by omega^{kr}.
+    """Apply Z^k = D_{0,k}: component r is multiplied by omega^{(k mod d) r}.
 
     All three form tags are preserved: component 0 is untouched and all
     moduli are unchanged.
     """
-    return apply_displacement(psi, 0, k)
+    d = psi.dim.d
+    return CVec(psi.dim, psi.components * _omega_phase(d, (k % d) * np.arange(d)), psi.form)
 
 
 def z_overlap_residual(psi: CVec) -> float:

@@ -259,12 +259,9 @@ def _cmd_search(args, rep: _Reporter) -> int:
     rep.kv("iterations", best.iterations)
     rep.kv("converged", str(best.converged).lower())
     rep.kv("angles", ",".join(f"{a:.17g}" for a in best.angles))
-    n_conv = sum(1 for r in results if r.converged)
-    rep.kv("num_converged", n_conv)
+    rep.kv("num_converged", sum(1 for r in results if r.converged))
     if args.out:
-        Path(args.out).write_text(
-            search_results_json(config, results) + "\n", encoding="utf-8"
-        )
+        Path(args.out).write_text(search_results_json(config, results) + "\n", encoding="utf-8")
         rep.kv("out", args.out)
     return 0
 
@@ -374,6 +371,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.digits < 1:
             parser.error(f"argument --digits: must be at least 1, got {args.digits}")
+        try:
+            format(0.0, f".{args.digits}g")
+        except ValueError:  # Python formats at most 2**31 - 1 digits
+            parser.error(f"argument --digits: too large to format a number, got {args.digits}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     rep = _Reporter(args.porcelain, args.digits)

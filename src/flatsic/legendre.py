@@ -25,7 +25,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import verify
 from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, x_overlap_residual
@@ -254,20 +253,17 @@ def perron_table(dim: Dim | int) -> np.ndarray:
     """perron_counts for every shift a = 1..p-1 as one (p-1) x 6 integer
     array, row a-1 for shift a, its columns the PerronCounts fields in order.
 
-    One pass counts all shifts: row a-1 of a (p-1) x p window view of the
-    doubled Rest indicator is the indicator at (x + a) mod p, and its sum
-    over the Reste x is reste_from_reste.  A shift permutes Z_p, so each row
-    holds all the Reste: the Nichtreste x carry the others, and the
-    Nichtreste counts are the class sizes minus the Reste counts."""
+    reste_from_reste, #{x in Rest : x + a in Rest}, is the lag-a circular
+    autocorrelation of the Rest indicator, read for all a in O(p) memory and
+    rounded (the counts are integers; the error was 5.8e-10 at p = 10^6 + 3);
+    lag 0 counts the Reste.  A shift permutes Z_p, so the Nichtreste counts
+    are the class sizes minus the Reste counts."""
     dim = _require_3mod4_prime(dim)
     p = dim.d
-    rest = _residue_signs(p) >= 0
-    shifted = sliding_window_view(np.concatenate([rest, rest]), p)[1:p]
-    rr = np.count_nonzero(shifted[:, rest], axis=1)
-    n_rest = int(np.count_nonzero(rest))
-    n_nicht = p - n_rest
+    counts = np.rint(autocorrelation(_residue_signs(p) >= 0).real).astype(np.int64)
+    n_rest, rr = counts[0], counts[1:]
     return np.column_stack(
-        [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, n_nicht - n_rest + rr]
+        [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, p - 2 * n_rest + rr]
     )
 
 

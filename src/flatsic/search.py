@@ -48,7 +48,7 @@ import numpy as np
 
 from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
 from .verify import _naive_x_gaps, check_tolerance
-from .weyl import CVec, Dim, _check_integer, _odd_dim, clock_shift_rows
+from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, clock_shift_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -77,9 +77,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _odd_dim(self.dim))
         if self.objective not in OBJECTIVES:
-            raise ValueError(
-                f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}"
-            )
+            raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
         for field in ("seed", "restarts", "max_iterations"):
             object.__setattr__(self, field, _check_integer(getattr(self, field), field))
         if self.seed < 0:
@@ -232,9 +230,9 @@ def _transform_pair(d: int):
     """(fft, ifft): numpy.fft's unnormalized length-d DFT and its inverse,
     along the last axis of their argument.
 
-    For d <= _DENSE_MAX_D both are products with the DFT matrix, built here,
-    F_jk = exp(-2 pi i ((j k) mod d) / d) with the exponent reduced exactly
-    before it is scaled, and conj(F) / d.  F is symmetric, so x @ F
+    For d <= _DENSE_MAX_D both are products with the DFT matrix
+    F_jk = omega^{-jk}, read from weyl._omega_phase (the exponent reduced
+    exactly before it is scaled), and conj(F) / d.  F is symmetric, so x @ F
     transforms every row of x.  A batch of vectors, shape (R, d), goes
     through one vector-matrix product per row, since a matrix-matrix product
     may round a row differently from the product of that row alone; a batch
@@ -244,8 +242,7 @@ def _transform_pair(d: int):
     """
     if d > _DENSE_MAX_D:
         return np.fft.fft, np.fft.ifft
-    index = np.arange(d)
-    forward = np.exp(-2j * np.pi * (np.outer(index, index) % d / d))
+    forward = np.conj(_omega_phase(d, np.outer(np.arange(d), np.arange(d))))
     inverse = np.conj(forward) / d
 
     def product(x, matrix):

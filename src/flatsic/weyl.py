@@ -258,19 +258,24 @@ def _tau_phase(d: int, m) -> np.ndarray:
     return np.where(m & 1, -1.0, 1.0) * np.exp(1j * np.pi * m / d)
 
 
+def _omega_phase(d: int, m) -> np.ndarray:
+    """omega^m = exp(2 pi i (m mod d) / d) for an integer or integer array m,
+    m mod d divided by d before 2 pi i scales it: the only omega^m site."""
+    return np.exp(2j * np.pi * (np.asarray(m) % d / d))
+
+
 def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     """Apply D_{j,k} = tau^{jk} X^j Z^k without materializing a matrix.
 
     Component r of the result is tau^{jk} omega^{k(r-j)} psi_{r-j} with all
     indices mod d.  Norm-preserving; the form tag is carried through.  X^j
-    moves component 0, so a v-form or rescaled vector stays valid only for
-    j = 0 mod d (z_shift); other j raise VectorFileError.
+    moves component 0, so a v-form or rescaled vector is valid only for
+    j = 0 mod d; other j raise VectorFileError.  No package function calls it.
     """
     d = psi.dim.d
     j %= d
     k %= d
-    r = np.arange(d)
-    phases = np.exp(2j * np.pi * ((k * ((r - j) % d)) % d) / d)
+    phases = _omega_phase(d, k * (np.arange(d) - j))
     out = _tau_phase(d, j * k) * phases * np.roll(psi.components, j)
     return CVec(psi.dim, out, psi.form)
 
@@ -284,7 +289,7 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
 
 # Spectral kernel.  Every displacement-overlap quantity of the package is read
 # from the three functions below; apply_displacement and inner_product stay
-# as the entry-by-entry definitions (z_shift is apply_displacement at j = 0).
+# as the entry-by-entry definitions, and no package function calls them.
 
 
 def autocorrelation(arr) -> np.ndarray:

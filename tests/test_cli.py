@@ -93,7 +93,7 @@ class TestDimInfo:
         pairs = porcelain_dict(out3)
         assert len(pairs["sic_residual"].replace("-", "").split("e")[0].replace(".", "")) <= 3
 
-    @pytest.mark.parametrize("digits", ["0", "-3"])
+    @pytest.mark.parametrize("digits", ["0", "-3", str(2**31)])  # 2**31: too large to format
     def test_digits_below_one_rejected(self, capsys, digits):
         code, out, err = run(capsys, "--porcelain", "--digits", digits, "legendre", "--d", "7")
         assert (code, out) == (2, "")
@@ -419,8 +419,14 @@ class TestPolysys:
 _NOT_NUMBERS = ["abc", "", "nan", "inf", "-inf", "1e400", "2.5"]
 
 #: search flag -> (valid values, malformed values, texts naming the flag or
-#: its invariant).  None omits an optional flag.
+#: its invariant).  None omits an optional flag.  --digits, a flag of the
+#: program rather than of the subcommand, goes before "search".
 _SEARCH_FLAGS = {
+    "--digits": (
+        st.sampled_from([None, "1", "17", "40"]),
+        ["abc", "2.5", "0", "-1", str(2**31)],
+        ("--digits",),
+    ),
     "--d": (
         st.sampled_from(["3", "5", "7"]),
         [*_NOT_NUMBERS, "0", "-1", "-7", "1", "4", "8"],
@@ -587,7 +593,8 @@ class TestSearchMatch:
             ok = data.draw(st.integers(0, 3), label=f"{flag} valid") > 0
             value = data.draw(valid if ok else st.sampled_from(bad), label=flag)
             if value is not None:
-                argv += [flag, value]
+                at = 1 if flag == "--digits" else len(argv)
+                argv[at:at] = [flag, value]
             if not ok:
                 malformed.append(names)
         out, err = io.StringIO(), io.StringIO()

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ class TestPerron:
         assert perron_table(p).tolist() == [
             list(dataclasses.astuple(perron_counts(p, a))) for a in range(1, p)
         ]
+
+    def test_table_equals_per_shift_counts_at_a_large_prime(self):
+        # the autocorrelation rounds to the exact counts far beyond the sweep
+        p = 100003
+        table = perron_table(p)
+        shifts = [1, p - 1, *np.random.default_rng(p).integers(2, p - 1, 20).tolist()]
+        for a in shifts:
+            assert table[a - 1].tolist() == list(dataclasses.astuple(perron_counts(p, a))), a
+
+    def test_table_memory_is_linear_in_p(self):
+        # a (p-1) x p boolean window took 32 MB at p = 8011; the
+        # autocorrelation takes a few length-p arrays
+        p = 8011
+        tracemalloc.start()
+        try:
+            perron_table(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
     @pytest.mark.parametrize("p", [3, 7, 499])
     def test_table_is_one_integer_array(self, p):

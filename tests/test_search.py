@@ -201,6 +201,20 @@ class TestTransformPair:
         real = rng.standard_normal(d)  # the objectives transform |spectrum|^2
         assert np.linalg.norm(ifft(real) - np.fft.ifft(real)) <= 1e-12 * np.linalg.norm(real)
 
+    @pytest.mark.parametrize("d", [3, 7, 19, 199])
+    def test_dense_matrix_keeps_its_rounding(self, d):
+        # fft of the identity is the DFT matrix.  It equals the matrix built
+        # as exp(-2 pi i ((j k) mod d) / d) bit for bit, except that conj
+        # gives the zero imaginary parts (j k = 0 mod d) the other sign
+        fft, _ = flatsic.search._transform_pair(d)
+        index = np.arange(d)
+        expect = np.exp(-2j * np.pi * (np.outer(index, index) % d / d))
+        got = fft(np.eye(d))
+        assert np.array_equal(got, expect)
+        assert got.real.tobytes() == expect.real.tobytes()
+        nonzero = expect.imag != 0
+        assert got.imag[nonzero].tobytes() == expect.imag[nonzero].tobytes()
+
     @pytest.mark.parametrize("obj, d", [("xoverlap", 7), ("xoverlap", 11), ("naive_x", 11)])
     def test_dense_and_fft_searches_agree(self, monkeypatch, obj, d):
         cfg = config(d, obj=obj, seed=3, restarts=20)

@@ -503,3 +503,118 @@ def test_search_transforms_only_through_its_transform_pair():
     source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
     owners = _numpy_fft_owners(source)
     assert owners and set(owners) == {"_transform_pair"}
+
+
+#: The entry-by-entry definitions of weyl that the spectral kernel replaced.
+_ENTRY_BY_ENTRY = {"apply_displacement", "inner_product"}
+
+
+def _entry_by_entry_callers(source: str) -> list[str]:
+    """Functions of the source, at any depth, that call apply_displacement
+    or inner_product, directly or through the module-level functions they
+    call."""
+    tree = ast.parse(source)
+    callers = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            direct = {name.split(".")[-1] for name in _called_names(func)}
+            if (direct | _reachable_calls(tree, direct)) & _ENTRY_BY_ENTRY:
+                callers.append(func.name)
+    return callers
+
+
+def test_entry_by_entry_callers_follows_helpers_and_methods():
+    source = (
+        "def z_shift(psi, k):\n    return _helper(psi, k)\n"
+        "def _helper(psi, k):\n    return weyl.apply_displacement(psi, 0, k)\n"
+        "class T:\n    def overlap(self, a, b):\n        return inner_product(a, b)\n"
+        "def clean(psi):\n    return np.vdot(psi, psi)\n"
+    )
+    assert _entry_by_entry_callers(source) == ["z_shift", "_helper", "overlap"]
+
+
+def test_no_package_function_reaches_the_entry_by_entry_definitions():
+    # every displacement quantity is read from the spectral kernel;
+    # apply_displacement and inner_product are the tests' definitions
+    callers = [
+        (path.stem, name)
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for name in _entry_by_entry_callers(path.read_text(encoding="utf-8"))
+    ]
+    assert callers == []
+
+
+def _pi_exponential_owners(source: str) -> list[str | None]:
+    """For each exp call whose argument mentions pi (np.pi, math.pi or a
+    bare pi), the top-level function it sits in, None outside every
+    function."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if _call_leaf(node) == "exp" and any(
+                (isinstance(sub, ast.Attribute) and sub.attr == "pi")
+                or (isinstance(sub, ast.Name) and sub.id == "pi")
+                for arg in node.args
+                for sub in ast.walk(arg)
+            ):
+                owners.append(owner)
+    return owners
+
+
+def test_pi_exponential_owners_sees_every_form():
+    source = (
+        "W = np.exp(2j * np.pi / 7)\n"
+        "def a(m, d):\n    return numpy.exp(-2j * (np.pi * m) / d)\n"
+        "def b(ang):\n    return np.exp(1j * ang) * np.pi\n"
+        "def c(m):\n    def inner(x):\n        return cmath.exp(1j * pi * x)\n    return inner(m)\n"
+    )
+    assert _pi_exponential_owners(source) == [None, "a", "c"]
+
+
+def test_one_site_each_for_omega_and_tau_powers():
+    owners = [
+        (path.stem, owner)
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for owner in _pi_exponential_owners(path.read_text(encoding="utf-8"))
+    ]
+    assert owners == [("weyl", "_tau_phase"), ("weyl", "_omega_phase")]
+
+
+def _numpy_lib_references(source: str) -> set[str]:
+    """What the source takes from numpy.lib: each import of it, in any form,
+    by its dotted name, and each attribute np.lib or numpy.lib."""
+    imported = {name for name in _absolute_imports(source) if f"{name}.".startswith("numpy.lib.")}
+    attributes = {
+        f"{node.value.id}.lib"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "lib"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    }
+    return imported | attributes
+
+
+def test_numpy_lib_references_sees_every_form():
+    source = (
+        "from numpy.lib.stride_tricks import sliding_window_view\n"
+        "import numpy.lib.stride_tricks as tricks\n"
+        "from numpy import lib, linalg\n"
+        "import numpy.library\n"
+        "def f(x):\n    return np.lib.stride_tricks.as_strided(x)\n"
+        "def g(x):\n    return numpy.linalg.norm(x) + lib_size(x)\n"
+    )
+    assert _numpy_lib_references(source) == {
+        "numpy.lib.stride_tricks.sliding_window_view",
+        "numpy.lib.stride_tricks",
+        "numpy.lib",
+        "np.lib",
+    }
+
+
+def test_legendre_takes_nothing_from_numpy_lib():
+    # Perron's counts are one autocorrelation, not a window view of the
+    # Rest indicator
+    source = Path(flatsic.legendre.__file__).read_text(encoding="utf-8")
+    assert _numpy_lib_references(source) == set()

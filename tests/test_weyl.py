@@ -139,11 +139,21 @@ class TestFormInvariants:
 
     @pytest.mark.parametrize("to_form", [to_vform, to_rescaled])
     def test_z_shift_keeps_the_form(self, to_form):
-        vec = to_form(build_ansatz(9, [0.3, 1.1, 2.0, -0.4]))
-        for k in range(9):
-            shifted = z_shift(vec, k)
-            assert shifted.form == vec.form
-            assert shifted.components[0] == vec.components[0]
+        # z_shift is apply_displacement at j = 0, whatever the form
+        rng = np.random.default_rng(9)
+        for d in (7, 9, 19, 199):
+            vec = to_form(build_ansatz(d, rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2)))
+            for k in range(d):
+                shifted = z_shift(vec, k)
+                assert shifted.form == vec.form
+                assert shifted.components[0] == vec.components[0]
+                expect = apply_displacement(vec, 0, k).components
+                assert np.max(np.abs(shifted.components - expect)) <= 1e-15
+
+    def test_z_shift_reduces_a_huge_exponent(self):
+        psi = random_unit(np.random.default_rng(19), 19)
+        got = z_shift(psi, 10**30).components
+        assert got.tobytes() == z_shift(psi, 10**30 % 19).components.tobytes()
 
 
 class TestApplyDisplacement:
