@@ -42,11 +42,13 @@ from .weyl import make_dimension
 
 
 class _Reporter:
-    """Formats stdout either for humans or as key=value lines."""
+    """Formats stdout either for humans or as key=value lines, collected in
+    out: main writes them only when the command exits 0 or 1."""
 
     def __init__(self, porcelain: bool, digits: int):
         self.porcelain = porcelain
         self.digits = digits
+        self.out: list[str] = []
 
     def num(self, value) -> str:
         return f"{float(value):.{self.digits}g}"
@@ -56,14 +58,11 @@ class _Reporter:
         return f"{z.real:.{self.digits}g}{z.imag:+.{self.digits}g}i"
 
     def kv(self, key: str, value, label: str | None = None) -> None:
-        if self.porcelain:
-            print(f"{key}={value}")
-        else:
-            print(f"{label or key} = {value}")
+        self.out.append(f"{key}={value}\n" if self.porcelain else f"{label or key} = {value}\n")
 
     def note(self, text: str) -> None:
         if not self.porcelain:
-            print(text)
+            self.out.append(text + "\n")
 
 
 def _load_vector(path: str):
@@ -238,7 +237,7 @@ def _cmd_polysys(args, rep: _Reporter) -> int:
         rep.kv("export", args.export)
         rep.kv("manifest", manifest_path)
     else:
-        sys.stdout.write(text)
+        rep.out.append(text)
     return 0
 
 
@@ -379,10 +378,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     rep = _Reporter(args.porcelain, args.digits)
     try:
-        return args.handler(args, rep)
+        code = args.handler(args, rep)
     except (ValueError, OSError) as exc:  # VectorFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(rep.out))
+    return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import verify
 from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, x_overlap_residual
-from .weyl import Dim, _as_dim, autocorrelation, is_prime, make_dimension
+from .weyl import Dim, _as_dim, _x_lags, autocorrelation, is_prime, make_dimension
 
 __all__ = [
     "PerronCounts",
@@ -232,21 +232,23 @@ def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClass
 
 def lemma1_deviation(dim: Dim | int) -> float:
     """max over both beta branches and j = 1..p-1 of |<v|X^{-2j}|v> minus
-    lemma1_closed_form|, the direct side read from one autocorrelation per
-    branch and the closed form evaluated once per residue class."""
+    lemma1_closed_form|, the direct side of both branches read from one
+    autocorrelation of their stacked v-forms and the closed form evaluated
+    once per branch and residue class."""
     dim = _require_3mod4_prime(dim)
     p = dim.d
     residue = _residue_signs(p)[1:] > 0
-    worst = 0.0
-    for sign in (+1, -1):
-        vec = build_legendre_vector(dim, sign)
-        av = vec.ansatz
-        v = np.concatenate(([av.sqrt_x0], av.phases))  # the v-form, unchecked: runs per prime
-        direct = autocorrelation(v)[(2 * np.arange(1, p)) % p]
+    plus, minus = build_legendre_vector(dim, +1), build_legendre_vector(dim, -1)
+    # both v-forms, unchecked (this runs per prime); the branches share sqrt(x0)
+    phases = np.stack([plus.ansatz.phases, minus.ansatz.phases])
+    v = np.insert(phases, 0, plus.ansatz.sqrt_x0, axis=1)
+
+    def closed(vec):
         on_residues = lemma1_closed_form(dim, vec.x1, True)
-        closed = np.where(residue, on_residues, lemma1_closed_form(dim, vec.x1, False))
-        worst = max(worst, float(np.max(np.abs(direct - closed))))
-    return worst
+        return np.where(residue, on_residues, lemma1_closed_form(dim, vec.x1, False))
+
+    direct = autocorrelation(v)[:, _x_lags(p)]
+    return float(np.max(np.abs(direct - [closed(plus), closed(minus)])))
 
 
 def perron_table(dim: Dim | int) -> np.ndarray:

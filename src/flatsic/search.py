@@ -48,7 +48,7 @@ import numpy as np
 
 from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
 from .verify import _naive_x_gaps, check_tolerance
-from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, clock_shift_rows
+from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, _x_lags, clock_shift_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -149,7 +149,7 @@ def _plan(config: SearchConfig):
     fft, ifft = _transform_pair(d)
 
     if config.objective == "xoverlap":
-        lags = (2 * np.arange(1, d)) % d
+        lags = _x_lags(d)
         s_plus_1 = math.sqrt(d + 1.0) + 1.0
         scale = 2.0 * s_plus_1
 

@@ -264,6 +264,13 @@ def _omega_phase(d: int, m) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(m) % d / d))
 
 
+def _x_lags(d: int) -> np.ndarray:
+    """The lag 2j mod d of each index j = 1..d-1: the X-overlap equation at j
+    reads <Psi|X^{-2j}|Psi>, autocorrelation lag 2j mod d.  The only place
+    this pairing is formed."""
+    return (2 * np.arange(1, d)) % d
+
+
 def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     """Apply D_{j,k} = tau^{jk} X^j Z^k without materializing a matrix.
 

@@ -96,6 +96,11 @@ def rescaled_d7_text(slack_fraction: float) -> str:
 #: component is 0.
 ZERO_D3_RESCALED = json.dumps({"d": 3, "form": "rescaled", "components": [[0.0, 0.0]] * 3})
 
+#: A d = 7 unit vector whose component j = 6 is nonzero but has a squared
+#: modulus that underflows to 0 (1e-340), so its X-overlap right-hand side
+#: psi_6^2 / |psi_6|^2 is undefined in floating point.
+UNDERFLOWING_D7 = cvec([6**-0.5] * 6 + [1e-170])
+
 
 def xz_matrices(d: int):
     """Explicit clock and shift matrices (oracle path)."""

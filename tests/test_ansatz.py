@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    UNDERFLOWING_D7,
     d7_solution,
     displacement_matrix,
     normalize_rescaled,
@@ -226,8 +227,10 @@ class TestXOverlap:
         assert x_overlap_residual(psi) > 0.01
 
     def test_degenerate_component(self):
-        with pytest.raises(DegenerateComponentError):
-            x_overlap_residual(basis_vector(7, 0))
+        # the first j whose squared modulus is 0 is named; no nan comes back
+        for psi, j in [(basis_vector(7, 0), 1), (UNDERFLOWING_D7, 6)]:
+            with pytest.raises(DegenerateComponentError, match=f"at j = {j}$"):
+                x_overlap_residual(psi)
 
     def test_even_dimension(self):
         with pytest.raises(ValueError):

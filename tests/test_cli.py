@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    UNDERFLOWING_D7,
     ZERO_D3_RESCALED,
     d7_solution,
     normalize_rescaled,
@@ -140,8 +141,9 @@ class TestLegendreVerify:
         [
             random_unit(np.random.default_rng(4), 4),  # even d
             cvec(np.eye(7)[0]),  # psi_j = 0 for every j != 0
+            UNDERFLOWING_D7,  # |psi_6|^2 underflows to 0
         ],
-        ids=["even-d", "zero-component"],
+        ids=["even-d", "zero-component", "underflowing-component"],
     )
     def test_x_overlap_not_applicable(self, capsys, tmp_path, psi):
         path = tmp_path / "vec.json"
@@ -151,6 +153,9 @@ class TestLegendreVerify:
         assert code == 1
         assert pairs["x_overlap_residual"] == "nan"
         assert pairs["x_overlap_verdict"] == "fail"
+        code, out, err = run(capsys, "--porcelain", "xoverlap", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_legendre_bad_dimension(self, capsys):
         code, _, err = run(capsys, "legendre", "--d", "13")
@@ -459,6 +464,29 @@ _SEARCH_FLAGS = {
     ),
 }
 
+#: One valid value per search flag (None omits it): the base run that
+#: test_each_malformed_search_flag_alone makes malformed one flag at a time.
+_SEARCH_VALID = {
+    "--digits": "17",
+    "--d": "7",
+    "--objective": "xoverlap",
+    "--seed": "3",
+    "--restarts": "1",
+    "--max-iterations": "2",
+    "--threshold": "0.5",
+}
+
+
+def _search_argv(values: dict) -> list[str]:
+    """--porcelain search argv with each flag of values that is not None,
+    --digits placed before the subcommand."""
+    argv = ["--porcelain", "search"]
+    for flag, value in values.items():
+        if value is not None:
+            at = 1 if flag == "--digits" else len(argv)
+            argv[at:at] = [flag, value]
+    return argv
+
 
 class TestSearchMatch:
     def test_search_and_out(self, capsys, tmp_path):
@@ -607,6 +635,21 @@ class TestSearchMatch:
             assert (code, out.getvalue()) == (2, "")
             assert any(name in err.getvalue() for names in malformed for name in names)
 
+    @pytest.mark.parametrize(
+        "flag, bad", [(flag, bad) for flag, (_, bads, _) in _SEARCH_FLAGS.items() for bad in bads]
+    )
+    def test_each_malformed_search_flag_alone(self, capsys, flag, bad):
+        # every other flag takes a valid value, so the one malformed value
+        # alone must stop the run, and the message must name its flag
+        code, out, err = run(capsys, *_search_argv({**_SEARCH_VALID, flag: bad}))
+        assert (code, out) == (2, "")
+        assert any(name in err for name in _SEARCH_FLAGS[flag][2]), err
+
+    def test_valid_search_flags_run(self, capsys):
+        code, out, err = run(capsys, *_search_argv(_SEARCH_VALID))
+        assert (code, err) == (0, "")
+        assert porcelain_dict(out)["restarts"] == "1"
+
     def test_match(self, capsys, tmp_path, d7_file):
         other = tmp_path / "other.json"
         other.write_text(dump_vector(normalize_rescaled(d7_solution(+1))))
@@ -694,6 +737,29 @@ class TestErrors:
         assert pairs["d"] == "7"
         if command == "verify":  # Im x0 is dropped once the load check accepts it
             assert pairs["sic_verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["legendre", "--d", "7", "--out"],
+            ["ansatz-build", "--d", "7", "--angles", "0,1,2", "--out"],
+            ["perron", "--pmax", "31", "--csv"],
+            ["polysys", "--d", "7", "--export"],
+            ["search", "--d", "7", "--objective", "xoverlap", "--seed", "1", "--restarts", "1",
+             "--out"],
+            ["gik", "VECTOR", "--csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("porcelain", [[], ["--porcelain"]], ids=["human", "porcelain"])
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path, d7_file, argv, porcelain):
+        # the keys are computed before the write fails; a run that exits 2
+        # prints none of them
+        target = str(tmp_path / "missing" / "out")
+        argv = [d7_file if arg == "VECTOR" else arg for arg in argv]
+        code, out, err = run(capsys, *porcelain, *argv, target)
+        assert (code, out) == (2, "")
+        assert target in err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command", ["verify", "legendre", "lemma1", "match"])

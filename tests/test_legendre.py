@@ -25,6 +25,7 @@ from flatsic import (
     x_overlap_residual,
 )
 from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
+from flatsic.weyl import autocorrelation
 
 
 class TestLegendreSymbol:
@@ -273,6 +274,25 @@ class TestLemma1:
                 direct = np.vdot(w, np.roll(w, (-2 * j) % p))
                 closed = lemma1_closed_form(p, vec.x1, legendre_symbol(j, p) == 1)
                 assert abs(direct - closed) < 1e-10
+
+    def test_deviation_reads_both_branches_from_one_transform(self):
+        # the stacked v-forms' autocorrelation rows equal each branch's own
+        # autocorrelation bit for bit, so lemma1_deviation is exactly the
+        # larger of the two branch deviations
+        for p in primes_3mod4(2000):
+            vecs = [build_legendre_vector(p, sign) for sign in (+1, -1)]
+            v = np.stack([to_vform(vec.ansatz).components for vec in vecs])
+            rows = autocorrelation(v)
+            assert rows.tobytes() == np.stack([autocorrelation(w) for w in v]).tobytes(), p
+            if p < 500:  # one branch at a time, as the oracle
+                lags = [2 * j % p for j in range(1, p)]
+                residue = [legendre_symbol(j, p) == 1 for j in range(1, p)]
+                worst = 0.0
+                for vec, row in zip(vecs, rows):
+                    on_residues = lemma1_closed_form(p, vec.x1, True)
+                    closed = np.where(residue, on_residues, lemma1_closed_form(p, vec.x1, False))
+                    worst = max(worst, float(np.max(np.abs(row[lags] - closed))))
+                assert lemma1_deviation(p) == worst, p
 
 
 class TestClassify:

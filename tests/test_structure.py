@@ -618,3 +618,88 @@ def test_legendre_takes_nothing_from_numpy_lib():
     # Rest indicator
     source = Path(flatsic.legendre.__file__).read_text(encoding="utf-8")
     assert _numpy_lib_references(source) == set()
+
+
+def _doubled_index_owners(source: str) -> list[str | None]:
+    """For each reduction of a doubled index, (2 * x) % m or (x * 2) % m, also
+    through np.mod or np.remainder, the top-level function it sits in, None
+    outside every function."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                reduced = node.left
+            elif _call_leaf(node) in ("mod", "remainder") and node.args:
+                reduced = node.args[0]
+            else:
+                continue
+            if (
+                isinstance(reduced, ast.BinOp)
+                and isinstance(reduced.op, ast.Mult)
+                and 2 in {getattr(reduced.left, "value", None), getattr(reduced.right, "value", None)}
+            ):
+                owners.append(owner)
+    return owners
+
+
+def test_doubled_index_owners_sees_every_form():
+    source = (
+        "LAGS = (2 * np.arange(1, 7)) % 7\n"
+        "def a(j, d):\n    return j * 2 % d\n"
+        "def b(j, d):\n    return np.mod(2 * j, d) + np.remainder(j * 2, d)\n"
+        "def c(j, d):\n    return (2 * j - 1) % d + (j ** 2) % d + j % (2 * d) + (3 * j) % d\n"
+        "class T:\n    def f(self, d):\n        return (2 * self.j) % d\n"
+    )
+    assert _doubled_index_owners(source) == [None, "a", "b", "b", None]
+
+
+def test_one_site_for_the_x_overlap_lag_pairing():
+    # index j of the X-overlap equation reads autocorrelation lag 2j mod d;
+    # weyl._x_lags forms that pairing, and every reader takes it from there
+    owners, readers = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        owners += [(path.stem, owner) for owner in _doubled_index_owners(source)]
+        readers += [
+            (path.stem, node.name)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and "_x_lags" in {name.split(".")[-1] for name in _called_names(node)}
+        ]
+    assert owners == [("weyl", "_x_lags")]
+    assert readers == [
+        ("ansatz", "x_overlap_deviations"),
+        ("legendre", "lemma1_deviation"),
+        ("search", "_plan"),
+    ]
+
+
+def _loops(node: ast.AST) -> list[str]:
+    """The kinds of loop under node, at any depth: for and while statements
+    and comprehensions of every kind."""
+    kinds = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return [type(sub).__name__ for sub in ast.walk(node) if isinstance(sub, kinds)]
+
+
+def test_loops_sees_every_form():
+    tree = ast.parse(
+        "def f(xs):\n    for x in xs:\n        while x:\n            x -= 1\n"
+        "    return [x for x in xs], {x for x in xs}, {x: 1 for x in xs}, sum(x for x in xs)\n"
+        "def g(x):\n    return autocorrelation(x) + h(x)\n"
+    )
+    f, g = tree.body
+    assert sorted(_loops(f)) == ["DictComp", "For", "GeneratorExp", "ListComp", "SetComp", "While"]
+    assert _loops(g) == []
+
+
+def test_lemma1_reads_both_branches_from_one_autocorrelation():
+    tree = ast.parse(Path(flatsic.legendre.__file__).read_text(encoding="utf-8"))
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "lemma1_deviation"
+    ]
+    assert [_call_leaf(node) for node in ast.walk(func)].count("autocorrelation") == 1
+    assert _loops(func) == []
