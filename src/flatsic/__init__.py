@@ -43,11 +43,7 @@ from .polysys import (
     Poly,
     PolySystem,
     build_system,
-    check_d7_component_basis,
-    eval_system,
     export_system,
-    parse_poly,
-    parse_system,
     poly,
     system_manifest,
 )
@@ -79,7 +75,6 @@ from .weyl import (
     CVec,
     Dim,
     apply_displacement,
-    basis_vector,
     cvec,
     inner_product,
     is_prime,

@@ -203,17 +203,21 @@ def x_overlap_deviations(psi: CVec) -> np.ndarray:
     Entry j-1 is the deviation at j, for j = 1..d-1.  Every form is accepted
     and normalized first; for the v-form v of a default-branch ansatz vector
     the entries are |<v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2| / (sqrt(d+1)+1).
-    Requires odd d; raises, naming the first such j, if |psi_j|^2 = 0 for a
-    j != 0 (psi_j = 0, or so small that its square underflows), since the
-    right-hand side is then undefined.
+    Requires odd d; raises, naming the first such j, if |psi_j|^2 is below
+    the smallest normal float for a j != 0 (psi_j = 0, or so small that its
+    square underflows to 0 or to a subnormal whose reciprocal overflows),
+    since the right-hand side is then undefined in floating point.
     """
     _odd_dim(psi.dim)
     unit, _ = _unit_components(psi)
     d = unit.shape[0]
     moduli = np.abs(unit[1:]) ** 2
-    if not moduli.all():
-        j = int(np.argmin(moduli)) + 1
-        raise DegenerateComponentError(f"degenerate component: |psi_j|^2 = 0 at j = {j}")
+    degenerate = moduli < np.finfo(float).tiny
+    if degenerate.any():
+        j = int(np.argmax(degenerate)) + 1
+        raise DegenerateComponentError(
+            f"degenerate component: |psi_j|^2 is below the smallest normal float at j = {j}"
+        )
     s = math.sqrt(d + 1.0)
     lhs = s * autocorrelation(unit)[_x_lags(d)]
     rhs = unit[1:] ** 2 / moduli

@@ -18,8 +18,8 @@ validated by evaluating the generators at known solution vectors before any
 export is trusted (the tests do exactly that).
 
 Gröbner bases themselves are out of scope: systems are exported for external
-computer-algebra engines, and candidate points are only checked for
-membership numerically.  export_system writes the text in one pass over the
+computer-algebra engines, which are the readers of the text; no command reads
+an export back.  export_system writes the text in one pass over the
 generators, byte for byte the same for the same system.
 """
 
@@ -27,26 +27,18 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 
-import numpy as np
-
-from .weyl import Dim, _as_dim, _check_integer, _odd_dim
+from .weyl import Dim, _check_integer, _odd_dim
 
 __all__ = [
     "Poly",
     "PolySystem",
     "poly",
     "build_system",
-    "eval_system",
-    "check_d7_component_basis",
     "export_system",
-    "parse_system",
-    "parse_poly",
     "system_manifest",
 ]
 
@@ -81,20 +73,6 @@ class Poly:
                 exps[v] += 1
             dense[tuple(exps)] = coeff
         return dense
-
-    def evaluate(self, point) -> complex:
-        """Evaluate at a complex point of length d (double precision)."""
-        pt = np.asarray(point, dtype=np.complex128)
-        if pt.shape != (self.d,):
-            raise ValueError(f"expected a point of length {self.d}, got {pt.shape}")
-        values = pt.tolist()
-        total = 0j
-        for mono, coeff in self.monomials.items():
-            term = complex(coeff)
-            for v in mono:
-                term *= values[v]
-            total += term
-        return total
 
 
 def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
@@ -154,31 +132,8 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
     return PolySystem(dim=dim, polys=tuple(gens), symmetry_multiplier=m)
 
 
-def eval_system(system: PolySystem, point) -> list[float]:
-    """Residual moduli |p(point)| of every generator, double precision."""
-    pt = np.asarray(point, dtype=np.complex128)
-    return [abs(p.evaluate(pt)) for p in system.polys]
-
-
-# Known lexicographic basis of the permutation-symmetric component of the
-# d=7 system (x1 = x2 = x4, x3 = x5 = x6); hard-coded verbatim.
-_D7_BASIS = (
-    *(Poly(7, {(j,): 1, (6,): 1, (0,): Fraction(1, 2), (): -1}) for j in (1, 2, 4)),
-    *(Poly(7, {(j,): 1, (6,): -1}) for j in (3, 5)),
-    Poly(7, {(6, 6): 1, (6, 0): Fraction(1, 2), (6,): -1, (0,): -1}),
-    Poly(7, {(0, 0): 1, (0,): 4, (): -4}),
-)
-
-
-def check_d7_component_basis(point) -> float:
-    """Max residual modulus of the seven hard-coded d=7 component-basis
-    polynomials at a rescaled point of length 7."""
-    pt = np.asarray(point, dtype=np.complex128)
-    return max(abs(p.evaluate(pt)) for p in _D7_BASIS)
-
-
 # ---------------------------------------------------------------------------
-# plain-text export / parse
+# plain-text export
 #
 # Term order: graded lexicographic with variable order x1 > x2 > ... > x0
 # (x_0 last, mirroring the lexicographic order used for the published d=7
@@ -189,62 +144,6 @@ def check_d7_component_basis(point) -> float:
 
 def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
-
-
-# ASCII digits only: \d and int() also accept the digits of other scripts
-_VAR_RE = re.compile(r"x([0-9]+)")
-_FACTOR_RE = re.compile(_VAR_RE.pattern + r"(?:\^([0-9]{1,4}))?|(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_poly(line: str, d: int) -> Poly:
-    """Parse one plain-format polynomial line back to exact rationals.
-
-    Grammar, with tokens separated by whitespace and ASCII digits only:
-
-        line   = ["-"]term {("+" | "-") term}
-        term   = factor {"*" factor}
-        factor = "x"index["^"exponent] | ["-"]integer["/"integer]
-
-    Every index is below d, an exponent has at most four digits and a
-    denominator is nonzero.  A malformed line raises ValueError naming the
-    token that breaks the grammar.
-    """
-    tokens = line.split()
-    if not tokens:
-        raise ValueError("empty polynomial line")
-    head = tokens[0]
-    signs = ["-" if head.startswith("-") else "+", *tokens[1::2]]
-    bodies = [head.removeprefix("-"), *tokens[2::2]]
-    terms = {}
-    for sign, body in zip_longest(signs, bodies):
-        if sign not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-' between terms, got {sign!r}")
-        if not body:
-            raise ValueError(f"dangling sign {sign!r} with no term")
-        coeff = Fraction(1 if sign == "+" else -1)
-        indices = []
-        for factor in body.split("*"):
-            m = _FACTOR_RE.fullmatch(factor)
-            if m is None:
-                raise ValueError(
-                    f"cannot parse factor {factor!r} of term {body!r}: expected "
-                    "x<index>[^<exponent of at most 4 digits>] or <integer>[/<integer>]"
-                )
-            try:  # int() refuses more than sys.get_int_max_str_digits() digits
-                var, exp, num, den = (None if g is None else int(g) for g in m.groups())
-            except ValueError as exc:
-                raise ValueError(f"factor {factor!r}: {exc}") from None
-            if var is not None:
-                if var >= d:
-                    raise ValueError(f"variable {factor!r} out of range for d={d}")
-                indices += [var] * (1 if exp is None else exp)
-            elif den == 0:
-                raise ValueError(f"coefficient {factor!r}: denominators must be nonzero")
-            else:
-                coeff *= Fraction(num, den or 1)
-        key = tuple(sorted(indices, key=lambda v: v or d))
-        terms[key] = terms.get(key, 0) + coeff
-    return Poly(d, terms)
 
 
 class _VarNames(dict):
@@ -287,8 +186,8 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
             except ValueError:  # str() refuses an int longer than sys.get_int_max_str_digits()
                 raise ValueError(
                     f"generator {g}, term {'*'.join(factors) or 'constant'}: the coefficient "
-                    f"has more than {sys.get_int_max_str_digits()} digits, the limit for "
-                    "integer text that parse_poly also enforces"
+                    f"has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
+                    "limit for integer text"
                 ) from None
             if mag != "1" or not factors:
                 factors.insert(0, mag)
@@ -310,24 +209,6 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
         out += ["task: groebner_basis", "order: lexicographic"]
         return "\n".join(out) + "\n"
     raise ValueError(f"unknown export format {format!r}")
-
-
-def parse_system(text: str, d: int | None = None) -> PolySystem:
-    """Parse plain-format text back into a PolySystem.
-
-    When d is omitted it is inferred as 1 + the largest variable index seen.
-    The symmetry multiplier is not recoverable from the text and is left
-    unset; generator polynomials round-trip exactly.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if d is None:
-        seen = [int(m) for ln in lines for m in _VAR_RE.findall(ln)]
-        if not seen:
-            raise ValueError("cannot infer dimension: no variables in input")
-        d = max(seen) + 1
-    polys = tuple(parse_poly(ln, d) for ln in lines)
-    return PolySystem(dim=_as_dim(d), polys=polys, symmetry_multiplier=None)
 
 
 def system_manifest(system: PolySystem, text: str) -> dict:

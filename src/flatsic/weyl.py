@@ -27,7 +27,6 @@ __all__ = [
     "is_prime",
     "make_dimension",
     "cvec",
-    "basis_vector",
     "apply_displacement",
     "inner_product",
 ]
@@ -231,14 +230,6 @@ def cvec(components, form: str = "normalized") -> CVec:
     """Build a CVec from any complex sequence, inferring the dimension."""
     arr = _carray(components)
     return CVec(make_dimension(arr.shape[0]), arr, form)
-
-
-def basis_vector(dim: Dim | int, r: int) -> CVec:
-    """Standard basis vector e_r (index reduced mod d)."""
-    dim = _as_dim(dim)
-    arr = np.zeros(dim.d, dtype=np.complex128)
-    arr[r % dim.d] = 1.0
-    return CVec(dim, arr, "normalized")
 
 
 def _carray(psi) -> np.ndarray:

@@ -1,20 +1,25 @@
 """Shared test helpers: published solution vectors, explicit-matrix oracles,
-the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum) and
-the byte oracles of the exported texts (one formatted string per term or per
-cell).
+the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum),
+the polynomial oracles (a double-precision evaluator, the published d = 7
+component basis and a reader of the exported text) and the byte oracles of
+the exported texts (one formatted string per term or per cell).
 
 The catalog vectors are hard-coded from their closed-form components so that
-the package code is checked against independently constructed data.
+the package code is checked against independently constructed data.  No
+package command reads an export back: the external computer-algebra engines
+are its readers, so the text parser lives here as the export's oracle.
 """
 
 import csv
 import io
 import json
-from itertools import groupby
+import re
+from fractions import Fraction
+from itertools import groupby, zip_longest
 
 import numpy as np
 
-from flatsic import CVec, Poly, cvec
+from flatsic import CVec, Poly, PolySystem, cvec, make_dimension
 from flatsic.weyl import _LOAD_TOL
 
 # quadratic residues, computed here by brute squaring (independent of the
@@ -100,6 +105,15 @@ ZERO_D3_RESCALED = json.dumps({"d": 3, "form": "rescaled", "components": [[0.0, 
 #: modulus that underflows to 0 (1e-340), so its X-overlap right-hand side
 #: psi_6^2 / |psi_6|^2 is undefined in floating point.
 UNDERFLOWING_D7 = cvec([6**-0.5] * 6 + [1e-170])
+
+#: A d = 7 unit vector whose component j = 6 has a subnormal squared modulus
+#: (1e-310), whose reciprocal overflows to inf.
+SUBNORMAL_D7 = cvec([6**-0.5] * 6 + [1e-155])
+
+
+def basis_vector(d: int, r: int) -> CVec:
+    """Standard basis vector e_r of dimension d (index reduced mod d)."""
+    return cvec(np.eye(d)[r % d])
 
 
 def xz_matrices(d: int):
@@ -213,3 +227,118 @@ def table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:
             cells = [_complex_cell(z) for z in values]
         writer.writerow([str(row)] + cells)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# polynomial oracles: evaluation in double precision, the published d = 7
+# component basis, and the reader of the plain export format
+
+
+def evaluate(p: Poly, point) -> complex:
+    """p at a complex point of length p.d, term by term in double precision."""
+    pt = np.asarray(point, dtype=np.complex128)
+    if pt.shape != (p.d,):
+        raise ValueError(f"expected a point of length {p.d}, got {pt.shape}")
+    values = pt.tolist()
+    total = 0j
+    for mono, coeff in p.monomials.items():
+        term = complex(coeff)
+        for v in mono:
+            term *= values[v]
+        total += term
+    return total
+
+
+def eval_system(system: PolySystem, point) -> list[float]:
+    """Residual moduli |p(point)| of every generator, double precision."""
+    return [abs(evaluate(p, point)) for p in system.polys]
+
+
+#: The published lexicographic basis of the permutation-symmetric component
+#: of the d = 7 system (x1 = x2 = x4, x3 = x5 = x6), hard-coded verbatim.
+D7_BASIS = (
+    *(Poly(7, {(j,): 1, (6,): 1, (0,): Fraction(1, 2), (): -1}) for j in (1, 2, 4)),
+    *(Poly(7, {(j,): 1, (6,): -1}) for j in (3, 5)),
+    Poly(7, {(6, 6): 1, (6, 0): Fraction(1, 2), (6,): -1, (0,): -1}),
+    Poly(7, {(0, 0): 1, (0,): 4, (): -4}),
+)
+
+
+def check_d7_component_basis(point) -> float:
+    """Max residual modulus of the seven d = 7 component-basis polynomials at
+    a rescaled point of length 7."""
+    return max(abs(evaluate(p, point)) for p in D7_BASIS)
+
+
+# ASCII digits only: \d and int() also accept the digits of other scripts
+_VAR_RE = re.compile(r"x([0-9]+)")
+_FACTOR_RE = re.compile(_VAR_RE.pattern + r"(?:\^([0-9]{1,4}))?|(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_poly(line: str, d: int) -> Poly:
+    """Parse one plain-format polynomial line back to exact rationals.
+
+    Grammar, with tokens separated by whitespace and ASCII digits only:
+
+        line   = ["-"]term {("+" | "-") term}
+        term   = factor {"*" factor}
+        factor = "x"index["^"exponent] | ["-"]integer["/"integer]
+
+    Every index is below d, an exponent has at most four digits and a
+    denominator is nonzero.  A malformed line raises ValueError naming the
+    token that breaks the grammar.
+    """
+    tokens = line.split()
+    if not tokens:
+        raise ValueError("empty polynomial line")
+    head = tokens[0]
+    signs = ["-" if head.startswith("-") else "+", *tokens[1::2]]
+    bodies = [head.removeprefix("-"), *tokens[2::2]]
+    terms = {}
+    for sign, body in zip_longest(signs, bodies):
+        if sign not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-' between terms, got {sign!r}")
+        if not body:
+            raise ValueError(f"dangling sign {sign!r} with no term")
+        coeff = Fraction(1 if sign == "+" else -1)
+        indices = []
+        for factor in body.split("*"):
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ValueError(
+                    f"cannot parse factor {factor!r} of term {body!r}: expected "
+                    "x<index>[^<exponent of at most 4 digits>] or <integer>[/<integer>]"
+                )
+            try:  # int() refuses more than sys.get_int_max_str_digits() digits
+                var, exp, num, den = (None if g is None else int(g) for g in m.groups())
+            except ValueError as exc:
+                raise ValueError(f"factor {factor!r}: {exc}") from None
+            if var is not None:
+                if var >= d:
+                    raise ValueError(f"variable {factor!r} out of range for d={d}")
+                indices += [var] * (1 if exp is None else exp)
+            elif den == 0:
+                raise ValueError(f"coefficient {factor!r}: denominators must be nonzero")
+            else:
+                coeff *= Fraction(num, den or 1)
+        key = tuple(sorted(indices, key=lambda v: v or d))
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly(d, terms)
+
+
+def parse_system(text: str, d: int | None = None) -> PolySystem:
+    """Parse plain-format text back into a PolySystem.
+
+    When d is omitted it is inferred as 1 + the largest variable index seen.
+    The symmetry multiplier is not recoverable from the text and is left
+    unset; generator polynomials round-trip exactly.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if d is None:
+        seen = [int(m) for ln in lines for m in _VAR_RE.findall(ln)]
+        if not seen:
+            raise ValueError("cannot infer dimension: no variables in input")
+        d = max(seen) + 1
+    polys = tuple(parse_poly(ln, d) for ln in lines)
+    return PolySystem(dim=make_dimension(d), polys=polys, symmetry_multiplier=None)

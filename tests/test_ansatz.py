@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    SUBNORMAL_D7,
     UNDERFLOWING_D7,
+    basis_vector,
     d7_solution,
     displacement_matrix,
     normalize_rescaled,
@@ -24,7 +26,6 @@ from flatsic import (
     SearchConfig,
     VectorFileError,
     as_normalized,
-    basis_vector,
     build_ansatz,
     build_legendre_vector,
     build_system,
@@ -227,8 +228,9 @@ class TestXOverlap:
         assert x_overlap_residual(psi) > 0.01
 
     def test_degenerate_component(self):
-        # the first j whose squared modulus is 0 is named; no nan comes back
-        for psi, j in [(basis_vector(7, 0), 1), (UNDERFLOWING_D7, 6)]:
+        # the first j whose squared modulus is 0 or subnormal is named; no
+        # nan or inf comes back
+        for psi, j in [(basis_vector(7, 0), 1), (UNDERFLOWING_D7, 6), (SUBNORMAL_D7, 6)]:
             with pytest.raises(DegenerateComponentError, match=f"at j = {j}$"):
                 x_overlap_residual(psi)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    SUBNORMAL_D7,
     UNDERFLOWING_D7,
     ZERO_D3_RESCALED,
     d7_solution,
@@ -142,8 +143,9 @@ class TestLegendreVerify:
             random_unit(np.random.default_rng(4), 4),  # even d
             cvec(np.eye(7)[0]),  # psi_j = 0 for every j != 0
             UNDERFLOWING_D7,  # |psi_6|^2 underflows to 0
+            SUBNORMAL_D7,  # |psi_6|^2 is subnormal, its reciprocal inf
         ],
-        ids=["even-d", "zero-component", "underflowing-component"],
+        ids=["even-d", "zero-component", "underflowing-component", "subnormal-component"],
     )
     def test_x_overlap_not_applicable(self, capsys, tmp_path, psi):
         path = tmp_path / "vec.json"

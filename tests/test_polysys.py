@@ -11,11 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    D7_BASIS,
     NON_INTEGERS,
+    check_d7_component_basis,
     d7_solution,
     d19_solution,
     d67_solution,
+    eval_system,
+    evaluate,
     normalize_rescaled,
+    parse_poly,
+    parse_system,
     poly_line,
     random_complex,
 )
@@ -24,19 +30,14 @@ from flatsic import (
     Poly,
     PolySystem,
     build_system,
-    check_d7_component_basis,
     cvec,
-    eval_system,
     export_system,
     make_dimension,
-    parse_poly,
-    parse_system,
     poly,
     system_manifest,
     x_overlap_residual,
     z_shift,
 )
-from flatsic.polysys import _D7_BASIS
 
 
 def mono(d, *idx):
@@ -185,7 +186,7 @@ class TestEvalSystem:
         assert len(cubic) == 6
         for coeff in (-1, +1):
             for p in cubic:
-                assert abs(p.evaluate(d7_solution(coeff))) < 1e-10
+                assert abs(evaluate(p, d7_solution(coeff))) < 1e-10
 
     def test_zero_vector(self):
         system = build_system(7)
@@ -217,7 +218,7 @@ class TestEvalSystem:
             sum(float(c) * np.prod(point ** np.array(exps)) for exps, c in p.terms.items())
             for p in system.polys
         ]
-        got = [p.evaluate(point) for p in system.polys]
+        got = [evaluate(p, point) for p in system.polys]
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
         np.testing.assert_allclose(eval_system(system, point), np.abs(expect), rtol=1e-12, atol=0)
         assert min(np.abs(expect)) > 1e-3
@@ -264,8 +265,8 @@ class TestD7ComponentBasis:
 
         exprs = [sympy_expr(sympy, p) for p in build_system(7, 2).polys]
         basis = sympy.groebner(exprs, *order, order="lex")
-        assert len(basis.exprs) == len(_D7_BASIS)
-        assert {monic(e) for e in basis.exprs} == {monic(sympy_expr(sympy, p)) for p in _D7_BASIS}
+        assert len(basis.exprs) == len(D7_BASIS)
+        assert {monic(e) for e in basis.exprs} == {monic(sympy_expr(sympy, p)) for p in D7_BASIS}
 
 
 class TestD19ResidueComponent:

@@ -6,12 +6,11 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from helpers import NON_REAL_TOLERANCES, d7_solution, normalize_rescaled
+from helpers import NON_REAL_TOLERANCES, basis_vector, d7_solution, normalize_rescaled
 
 import flatsic.search
 from flatsic import (
     SearchConfig,
-    basis_vector,
     build_legendre_vector,
     canonical_match,
     cvec,

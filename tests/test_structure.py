@@ -328,9 +328,113 @@ def test_second_paths_stay_removed():
         "tau_power",
         "_from_monomials",
         "_poly_line",
+        "basis_vector",
+        "eval_system",
+        "check_d7_component_basis",
+        "_D7_BASIS",
+        "parse_poly",
+        "parse_system",
+        "_VAR_RE",
+        "_FACTOR_RE",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__
+    assert not hasattr(flatsic.Poly, "evaluate")
+
+
+def _uncalled_public_names(sources: dict[str, str]) -> set[str]:
+    """"module.name" for each name in a module's __all__ that no statement of
+    the given sources references, the name's own top-level definition aside.
+    A reference is a load of the bare name in its own module, a load of the
+    name an import `from .module import name [as alias]` binds, or an
+    attribute `alias.name` on a module bound by `from . import module [as
+    alias]`; an attribute of anything else, such as cfg.objective, is not.
+    sources maps each module's stem to its text."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    public = {
+        stem: {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for elt in node.value.elts
+        }
+        for stem, tree in trees.items()
+    }
+    referenced = set()
+    for stem, tree in trees.items():
+        names, modules = {}, {}  # local binding -> (module, name), alias -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        # a name the module lists in __all__ is its own, imported there or not
+        names.update({name: (stem, name) for name in public[stem]})
+        for top in tree.body:
+            defined = {getattr(top, "name", None)} | {
+                getattr(target, "id", None) for target in getattr(top, "targets", ())
+            }
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in names and node.id not in defined:
+                        referenced.add(names[node.id])
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    referenced.add((modules[node.value.id], node.attr))
+    return {
+        f"{stem}.{name}"
+        for stem, names in public.items()
+        for name in names
+        if (stem, name) not in referenced
+    }
+
+
+def test_uncalled_public_names_reads_module_aliases_not_other_attributes():
+    sources = {
+        "search": "__all__ = ['objective', 'minimize']\n"
+        "def objective(config, angles):\n    return objective(config, angles)\n"
+        "def minimize(config):\n    return 0\n",
+        "legendre": "__all__ = ['perron_table', 'perron_counts']\n"
+        "def perron_table(p):\n    return 1\n"
+        "def perron_counts(p):\n    return perron_table(p)\n",
+        "cli": "from . import legendre as legendre_mod\nfrom .search import minimize as run\n"
+        "def main(cfg):\n    return cfg.objective, legendre_mod.perron_table(7), run(cfg)\n",
+    }
+    assert _uncalled_public_names(sources) == {"search.objective", "legendre.perron_counts"}
+
+
+#: The public names no package or CLI statement references, each with why it
+#: stays public.
+_UNCALLED_PUBLIC_NAMES = {
+    "weyl.apply_displacement": "leaves with item 5",
+    "weyl.inner_product": "leaves with item 5",
+    "legendre.legendre_symbol": "leaves with item 5",
+    "legendre.perron_counts": "leaves with item 5",
+    "search.objective": "leaves with item 5",
+    "weyl.cvec": "user-facing: builds a CVec from any complex sequence",
+    "polysys.poly": "user-facing: builds a Poly from dense exponent tuples",
+    "ansatz.to_vform": "user-facing: converts a vector to the v-form",
+    "ansatz.to_rescaled": "user-facing: converts a vector to the rescaled form",
+    "legendre.classify_legendre": "ROADMAP item 1's `classify`",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_pinned_reason():
+    # a ratchet: a public name that loses its last caller either leaves the
+    # package or is pinned here with a reason; item 5 is ROADMAP's
+    # benchmark change, whose metric list names the five it lists
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert _uncalled_public_names(sources) == set(_UNCALLED_PUBLIC_NAMES)
 
 
 #: Error texts of input invariants that used to be checked, each in its own
@@ -340,7 +444,6 @@ _ONE_SITE_MESSAGES = (
     "rescaled first component must be real",
     "rescaled first component must be nonzero",
     "normalized vector has norm",
-    "expected a point of length",
     "must have unit modulus",
     "purely real or purely imaginary",
     "squared modulus |x0|",
@@ -703,3 +806,33 @@ def test_lemma1_reads_both_branches_from_one_autocorrelation():
     ]
     assert [_call_leaf(node) for node in ast.walk(func)].count("autocorrelation") == 1
     assert _loops(func) == []
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+#: The Python sources that must run on the oldest interpreter pyproject.toml
+#: allows.
+_PY310_SOURCES = [
+    path
+    for folder in ("src/flatsic", "tests", "perfbench")
+    for path in sorted((_REPO / folder).glob("*.py"))
+]
+
+
+def test_python_310_grammar_rejects_exception_groups():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize(
+    "path", _PY310_SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_sources_parse_with_the_python_310_grammar(path):
+    """Every module of the package, the tests and perfbench parses with the
+    Python 3.10 grammar.  feature_version is best effort: it rejects 3.11
+    syntax such as except*, but not every 3.11-only construct (a starred
+    annotation such as *Ts still parses), and it checks no library call, so
+    it stands in for a 3.10 interpreter only in part."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

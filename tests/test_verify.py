@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import (
     NON_REAL_TOLERANCES,
+    basis_vector,
     d7_solution,
     d19_solution,
     d67_solution,
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flatsic import (
-    basis_vector,
     build_legendre_vector,
     cvec,
     gik_residual,

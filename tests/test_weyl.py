@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from helpers import NON_INTEGERS, displacement_matrix, random_unit
+from helpers import NON_INTEGERS, basis_vector, displacement_matrix, random_unit
 from numpy.testing import assert_allclose
 
 from flatsic import (
     CVec,
     VectorFileError,
     apply_displacement,
-    basis_vector,
     build_ansatz,
     build_legendre_vector,
     cvec,
