@@ -31,7 +31,7 @@ beside it.  Each restart draws its starting point from a generator seeded by
 (seed, restart_index).  Milliseconds per minimize call (the lowest of two to
 four passes, each the mean over seeds 1-3 of the best of two or three runs;
 one core of a shared 2-vCPU virtual machine, Python 3.11.7, numpy 2.4.6,
-OpenBLAS on one thread):
+OpenBLAS on one thread; sic as before its table took the transform pair):
 
     objective, d    xoverlap 7   11   19   67   201   naive_x 11   sic 7   19
     R = 10                  11   16   22   60   166           12      18   44
@@ -48,7 +48,7 @@ import numpy as np
 
 from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
 from .verify import _naive_x_gaps, check_tolerance
-from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, _x_lags, clock_shift_rows
+from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, _x_lags
 
 __all__ = [
     "OBJECTIVES",
@@ -187,14 +187,14 @@ def _plan(config: SearchConfig):
     # sic: by Parseval over k, sum_ik |G(i,k) - target|^2 = (1/d) sum_ij E_ij^2 with
     # E_ij = |C_ij|^2 - t_ij, C_ij = <w|Z^j X^i|w> the clock-shift rows (the
     # overlaps up to a unit phase), t_00 = 1 and t_ij = 1/(d+1) elsewhere.
-    # (Z^j X^i w)_q = omega^{jq} w_{q-i}, so the gradient
-    # (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse transform per row.
+    # Row i of C is d * ifft(conj(w) * X^i w), and (Z^j X^i w)_q = omega^{jq} w_{q-i},
+    # so the gradient (4/d) sum_ij E_ij conj(C_ij) (Z^j X^i w)_q is one inverse
+    # transform per row: one gather of w_{q-i} serves the table and the gradient.
     # Each vector needs a few d x d tables at once, so the batch is evaluated
     # in slices whose clock-shift tables take at most _SIC_TABLE_BYTES.
-    indices = np.arange(d)
     target = np.full((d, d), 1.0 / (d + 1.0))
     target[0, 0] = 1.0
-    shifted = (indices - indices[:, None]) % d  # [i, q] -> q - i
+    shifted = (np.arange(d) - np.arange(d)[:, None]) % d  # [i, q] -> q - i
     slice_rows = max(1, _SIC_TABLE_BYTES // (16 * d * d))
 
     def sic(angles):
@@ -203,10 +203,12 @@ def _plan(config: SearchConfig):
         grad = np.empty(w.shape, dtype=np.complex128)
         for start in range(0, len(w), slice_rows):
             part = slice(start, start + slice_rows)
-            table = clock_shift_rows(w[part], indices)
+            moved = np.take(w[part], shifted, axis=1)  # [r, i, q] -> w_{q-i}
+            table = d * ifft(np.conj(w[part])[:, None, :] * moved)
             gaps = np.abs(table) ** 2 - target
+            # named: numpy would round moved * <temporary> as <temporary> * moved
             spectra = ifft(gaps * np.conj(table))
-            grad[part] = 4.0 * np.sum(np.take(w[part], shifted, axis=1) * spectra, axis=1)
+            grad[part] = 4.0 * np.sum(moved * spectra, axis=1)
             values[part] = np.sum(gaps**2, axis=(-2, -1)) / d
         return values, _angle_gradient(w, grad, half)
 

@@ -299,20 +299,16 @@ def autocorrelation(arr) -> np.ndarray:
 def clock_shift_rows(psi, rows) -> np.ndarray:
     """<psi|Z^k X^j|psi> for every j in rows and every k, shape (len(rows), d).
 
-    Row j is d * ifft(conj(psi) * X^j psi).  These rows carry no tau phase,
-    so the squared overlap moduli and G(i,k) are read from them.  No
-    normalization is applied.  psi may be a CVec or an array of shape
-    (..., d) with leading batch axes; the rows of each vector then come out
-    along the same axes, shape (..., len(rows), d), computed exactly as for
-    that vector alone.
+    Row j is d * ifft(conj(psi) * X^j psi), one gather of psi serving every
+    row.  These rows carry no tau phase, so the squared overlap moduli and
+    G(i,k) are read from them.  No normalization is applied.  psi is one
+    vector, a CVec or a 1-d array; the sic search objective forms a batch's
+    rows with the plan's transform pair, one gather serving table and gradient.
     """
-    arr = psi.components if isinstance(psi, CVec) else np.asarray(psi, dtype=np.complex128)
-    d = arr.shape[-1]
+    arr = _carray(psi)
+    d = arr.shape[0]
     j = np.asarray(rows, dtype=np.int64)[:, None] % d
-    # np.take, unlike arr[..., idx], returns C order for a batch too, so each
-    # vector's rows are transformed exactly as they would be alone
-    shifted = np.take(arr, (np.arange(d) - j) % d, axis=-1)
-    return d * np.fft.ifft(np.conj(arr)[..., None, :] * shifted)
+    return d * np.fft.ifft(np.conj(arr) * arr[(np.arange(d) - j) % d])
 
 
 def overlap_rows(psi, rows) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The spectral overlap kernel against entry-by-entry oracles.
 
-Every table and residual below comes from the batched FFT kernel in
+Every table and residual below comes from the FFT kernel in
 flatsic.weyl; the expected values are built here from apply_displacement,
 inner_product, helpers.gik_quartic and np.roll/np.vdot loops, none of which
 calls the kernel.  The input vector is normalized here too, without
@@ -119,6 +119,13 @@ def test_clock_shift_rows_are_the_overlap_rows_without_tau(vec):
     n = np.arange(d)
     tau = (-np.exp(1j * np.pi / d)) ** ((-np.outer(n, n)) % (2 * d))
     assert_allclose(overlap_rows(unit, np.arange(d)), rows * tau, rtol=0, atol=TOL)
+
+
+def test_clock_shift_rows_takes_one_vector():
+    # the sic objective forms a batch's rows through the search plan's
+    # transform pair; the kernel has no batch path
+    with pytest.raises(ValueError, match="one-dimensional"):
+        clock_shift_rows(np.ones((2, 7), dtype=np.complex128), [0, 1])
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-d", "odd-d"])

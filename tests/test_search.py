@@ -214,7 +214,9 @@ class TestTransformPair:
         nonzero = expect.imag != 0
         assert got.imag[nonzero].tobytes() == expect.imag[nonzero].tobytes()
 
-    @pytest.mark.parametrize("obj, d", [("xoverlap", 7), ("xoverlap", 11), ("naive_x", 11)])
+    @pytest.mark.parametrize(
+        "obj, d", [("xoverlap", 7), ("xoverlap", 11), ("naive_x", 11), ("sic", 19)]
+    )
     def test_dense_and_fft_searches_agree(self, monkeypatch, obj, d):
         cfg = config(d, obj=obj, seed=3, restarts=20)
         dense = {r.restart_index: r for r in minimize(cfg)[1] if r.converged}

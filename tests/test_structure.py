@@ -556,30 +556,37 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.splitlines()[-1:] == ["False 0 False"], result.stderr
 
 
+def _top_level_owners(source: str, hit) -> list[str | None]:
+    """For each node of the source for which hit(node) holds, in the order of
+    ast.walk under each top-level statement, the top-level function it sits
+    in, None outside every function."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        owners += [owner for node in ast.walk(top) if hit(node)]
+    return owners
+
+
 def _numpy_fft_owners(source: str) -> list[str | None]:
     """For each reference the source makes to numpy.fft (np.fft.*, or an
     import of numpy.fft in any form), the top-level function it sits in,
     None outside every function."""
-    owners = []
-    for top in ast.parse(source).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute):
-                hit = node.attr == "fft" and isinstance(node.value, ast.Name) and (
-                    node.value.id in ("np", "numpy")
-                )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                hit = module.startswith("numpy.fft") or (
-                    module == "numpy" and any(alias.name == "fft" for alias in node.names)
-                )
-            elif isinstance(node, ast.Import):
-                hit = any(alias.name.startswith("numpy.fft") for alias in node.names)
-            else:
-                hit = False
-            if hit:
-                owners.append(owner)
-    return owners
+
+    def hit(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "fft" and isinstance(node.value, ast.Name) and (
+                node.value.id in ("np", "numpy")
+            )
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.fft") or (
+                module == "numpy" and any(alias.name == "fft" for alias in node.names)
+            )
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.fft") for alias in node.names)
+        return False
+
+    return _top_level_owners(source, hit)
 
 
 def test_numpy_fft_owners_sees_every_form():
@@ -606,6 +613,46 @@ def test_search_transforms_only_through_its_transform_pair():
     source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
     owners = _numpy_fft_owners(source)
     assert owners and set(owners) == {"_transform_pair"}
+
+
+#: weyl's spectral kernel: the package's own numpy.fft transforms.
+_SPECTRAL_KERNEL = {"autocorrelation", "clock_shift_rows", "overlap_rows"}
+
+
+def _spectral_kernel_references(source: str) -> set[str]:
+    """The spectral kernel functions the source names: imported from any
+    module under any alias, called or referenced bare, or taken as an
+    attribute such as weyl.<name>."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names & _SPECTRAL_KERNEL
+
+
+def test_spectral_kernel_references_sees_every_form():
+    source = (
+        "from .weyl import clock_shift_rows as rows, cvec\n"
+        "from . import weyl as kernel\n"
+        "def f(w):\n    return kernel.autocorrelation(w) + rows(w, [0])\n"
+        "def g(w):\n    table = weyl.overlap_rows\n    return table(w, [1])\n"
+    )
+    assert _spectral_kernel_references(source) == _SPECTRAL_KERNEL
+    clean = (
+        "from .weyl import cvec, _x_lags as lags\n"
+        "def f(w):\n    return my_autocorrelation(w) + weyl.cvec(w).overlap_rows_of\n"
+    )
+    assert _spectral_kernel_references(clean) == set()
+
+
+def test_search_reads_no_spectral_kernel_function():
+    # every objective, sic included, transforms through the plan's pair
+    source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
+    assert _spectral_kernel_references(source) == set()
 
 
 #: The entry-by-entry definitions of weyl that the spectral kernel replaced.
@@ -651,18 +698,16 @@ def _pi_exponential_owners(source: str) -> list[str | None]:
     """For each exp call whose argument mentions pi (np.pi, math.pi or a
     bare pi), the top-level function it sits in, None outside every
     function."""
-    owners = []
-    for top in ast.parse(source).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if _call_leaf(node) == "exp" and any(
-                (isinstance(sub, ast.Attribute) and sub.attr == "pi")
-                or (isinstance(sub, ast.Name) and sub.id == "pi")
-                for arg in node.args
-                for sub in ast.walk(arg)
-            ):
-                owners.append(owner)
-    return owners
+
+    def hit(node: ast.AST) -> bool:
+        return _call_leaf(node) == "exp" and any(
+            (isinstance(sub, ast.Attribute) and sub.attr == "pi")
+            or (isinstance(sub, ast.Name) and sub.id == "pi")
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+
+    return _top_level_owners(source, hit)
 
 
 def test_pi_exponential_owners_sees_every_form():
@@ -727,23 +772,21 @@ def _doubled_index_owners(source: str) -> list[str | None]:
     """For each reduction of a doubled index, (2 * x) % m or (x * 2) % m, also
     through np.mod or np.remainder, the top-level function it sits in, None
     outside every function."""
-    owners = []
-    for top in ast.parse(source).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-                reduced = node.left
-            elif _call_leaf(node) in ("mod", "remainder") and node.args:
-                reduced = node.args[0]
-            else:
-                continue
-            if (
-                isinstance(reduced, ast.BinOp)
-                and isinstance(reduced.op, ast.Mult)
-                and 2 in {getattr(reduced.left, "value", None), getattr(reduced.right, "value", None)}
-            ):
-                owners.append(owner)
-    return owners
+
+    def hit(node: ast.AST) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            reduced = node.left
+        elif _call_leaf(node) in ("mod", "remainder") and node.args:
+            reduced = node.args[0]
+        else:
+            return False
+        return (
+            isinstance(reduced, ast.BinOp)
+            and isinstance(reduced.op, ast.Mult)
+            and 2 in {getattr(reduced.left, "value", None), getattr(reduced.right, "value", None)}
+        )
+
+    return _top_level_owners(source, hit)
 
 
 def test_doubled_index_owners_sees_every_form():
