@@ -28,14 +28,13 @@ when it stops:
 Every operation acts on each row alone, the same way whatever the batch
 holds, so a restart's result is bit-identical however many restarts run
 beside it.  Each restart draws its starting point from a generator seeded by
-(seed, restart_index).  Milliseconds per minimize call (the lowest of two to
-four passes, each the mean over seeds 1-3 of the best of two or three runs;
-one core of a shared 2-vCPU virtual machine, Python 3.11.7, numpy 2.4.6,
-OpenBLAS on one thread; sic as before its table took the transform pair):
+(seed, restart_index).  Milliseconds per minimize call (the lowest of six
+passes, each the mean over seeds 1-3 of the best of three runs; a shared
+2-vCPU virtual machine, Python 3.11.7, numpy 2.4.6):
 
     objective, d    xoverlap 7   11   19   67   201   naive_x 11   sic 7   19
-    R = 10                  11   16   22   60   166           12      18   44
-    R = 200                 43   38   81  468  2171           44      67  325
+    R = 10                 4.9  6.6   11   32    90          7.7     5.6   15
+    R = 200                 21   29   48  387  1328           33      31  122
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def _plan(config: SearchConfig):
     its angles and the kernel quantities of those vectors, and nothing else.
     Every operation acts on each row alone, in the same way whatever the
     number of rows, so a row's value and gradient do not depend on the rest
-    of the batch.  Gathers along the last axis use np.take: an index array
+    of the batch.  Gathers along the last axis use take: an index array
     there (a[:, idx]) returns a batch in another memory order than a single
     row, and numpy's sums and products then round the two differently.
     """
@@ -157,12 +156,12 @@ def _plan(config: SearchConfig):
             _, w = _vform_array(d, angles, sqrt_x0)
             spectrum = fft(w)
             # gap j, at lag 2j: <v|X^{-2j}|v> - (sqrt(d+1)+1) v_j^2
-            gaps = np.take(ifft(np.abs(spectrum) ** 2), lags, axis=1) - s_plus_1 * w[:, 1:] ** 2
+            gaps = ifft(np.abs(spectrum) ** 2).take(lags, axis=1) - s_plus_1 * w[:, 1:] ** 2
             lagged = np.zeros(w.shape, dtype=np.complex128)
             lagged[:, lags] = gaps
             grad = _lag_adjoint(fft, ifft, spectrum, lagged)
             grad[:, 1:] -= scale * np.conj(w[:, 1:]) * gaps
-            return np.sum(np.abs(gaps) ** 2, axis=-1), _angle_gradient(w, grad, half)
+            return np.add.reduce(np.abs(gaps) ** 2, axis=-1), _angle_gradient(w, grad, half)
 
         return xoverlap
 
@@ -180,7 +179,7 @@ def _plan(config: SearchConfig):
             c = ifft(np.abs(spectrum) ** 2)
             gaps = _naive_x_gaps(c)
             grad = _lag_adjoint(fft, ifft, spectrum, 2.0 * gaps * c)
-            return np.sum(gaps**2, axis=-1), _angle_gradient(w, grad, half)
+            return np.add.reduce(gaps**2, axis=-1), _angle_gradient(w, grad, half)
 
         return naive_x
 
@@ -203,13 +202,13 @@ def _plan(config: SearchConfig):
         grad = np.empty(w.shape, dtype=np.complex128)
         for start in range(0, len(w), slice_rows):
             part = slice(start, start + slice_rows)
-            moved = np.take(w[part], shifted, axis=1)  # [r, i, q] -> w_{q-i}
+            moved = w[part].take(shifted, axis=1)  # [r, i, q] -> w_{q-i}
             table = d * ifft(np.conj(w[part])[:, None, :] * moved)
             gaps = np.abs(table) ** 2 - target
             # named: numpy would round moved * <temporary> as <temporary> * moved
             spectra = ifft(gaps * np.conj(table))
-            grad[part] = 4.0 * np.sum(moved * spectra, axis=1)
-            values[part] = np.sum(gaps**2, axis=(-2, -1)) / d
+            grad[part] = 4.0 * np.add.reduce(moved * spectra, axis=1)
+            values[part] = np.add.reduce(gaps**2, axis=(-2, -1)) / d
         return values, _angle_gradient(w, grad, half)
 
     return sic
@@ -266,10 +265,8 @@ def _angle_gradient(w: np.ndarray, grad: np.ndarray, half: int) -> np.ndarray:
     """Chain a gradient grad_k = df/dconj(w_k) of a real f through
     w_j = |w_j| exp(i a_j) and w_{d-j} = -conj(w_j), j = 1..half, row by
     row."""
-    pos, neg = slice(1, half + 1), slice(-1, half, -1)  # j and d - j
-    return 2.0 * (
-        np.imag(np.conj(grad[:, neg]) * w[:, neg]) - np.imag(np.conj(grad[:, pos]) * w[:, pos])
-    )
+    rates = (np.conj(grad) * w).imag
+    return 2.0 * (rates[:, -1:half:-1] - rates[:, 1 : half + 1])  # j = 1..half at d - j and j
 
 
 def objective(config: SearchConfig, angles) -> float:
@@ -331,11 +328,12 @@ def _lbfgs(f, x: np.ndarray, max_iterations: int):
     """Limited-memory BFGS (Liu and Nocedal, Math. Programming 45, 1989) from
     every row of x at once, in lockstep.
 
-    f maps an (R, n) array of points to their R values and (R, n) gradient.
-    Every loop evaluates f once, at the trial points of all rows still
-    running, and each row then accepts its trial point (the Armijo test),
-    backtracks along its direction, or stops.  A row's arithmetic never
-    mixes in another row, so its path is the same in any batch.
+    f maps an (R, n) array of points to their R values and (R, n) gradient,
+    as new arrays that the loop keeps and may write to.  Every loop
+    evaluates f once, at the trial points of all rows still running, and
+    each row then accepts its trial point (the Armijo test), backtracks
+    along its direction, or stops.  A row's arithmetic never mixes in
+    another row, so its path is the same in any batch.
 
     The first trial step along a fresh direction is 1, or min(1, 1/|g|) for
     a row without curvature pairs; a backtrack takes the minimizer of the
@@ -353,77 +351,79 @@ def _lbfgs(f, x: np.ndarray, max_iterations: int):
     """
     count, n = x.shape
     rows = np.arange(count)
+    x = x.copy()  # the loop writes to x
     fx, gx = f(x)
     pairs = _Pairs(count, n)
     iterations = np.zeros(count, dtype=np.int64)
-    evaluations = np.ones(count, dtype=np.int64)
     trials = np.zeros(count, dtype=np.int64)
-    status = np.where(np.abs(gx).max(axis=1) <= _GTOL, 0, -1)
-    fresh = status < 0  # rows that need a new direction
-    p, slope, t = np.zeros((count, n)), np.zeros(count), np.zeros(count)
+    evaluations = 1  # every running row is evaluated once per loop
+    stop = own_test = capped = np.maximum.reduce(np.abs(gx), axis=1) <= _GTOL
+    fresh = ~stop  # rows that need a new direction
+    p, slope, t = np.zeros((count, n)), np.zeros(count), np.zeros(count)  # set where fresh
     while True:
-        stopped = status >= 0
-        if stopped.any():
-            for i in np.flatnonzero(stopped):
-                yield rows[i], x[i], fx[i], iterations[i], evaluations[i], status[i]
-            running = ~stopped
-            if not running.any():
+        if np.count_nonzero(stop):
+            status = np.where(own_test, 0, np.where(capped, 1, 2))
+            for i in stop.nonzero()[0]:
+                yield rows[i], x[i], fx[i], iterations[i], evaluations, status[i]
+            running = ~stop
+            if not np.count_nonzero(running):
                 return
             pairs.keep(running)
-            rows, x, fx, gx, p, slope, t, fresh, iterations, evaluations, trials, status = (
-                a[running]
-                for a in (rows, x, fx, gx, p, slope, t, fresh, iterations, evaluations, trials, status)
+            rows, x, fx, gx, p, slope, t, fresh, iterations, trials = (
+                a[running] for a in (rows, x, fx, gx, p, slope, t, fresh, iterations, trials)
             )
 
-        direction = pairs.direction(gx)
-        descent = _row_dot(gx, direction)
-        ascent = fresh & ~(descent < 0.0)
-        if ascent.any():
-            pairs.clear(ascent)
-            direction[ascent] = -gx[ascent]
+        if np.count_nonzero(fresh):
+            direction = pairs.direction(gx)
             descent = _row_dot(gx, direction)
-        first = np.where(pairs.count > 0, 1.0, np.minimum(1.0, 1.0 / np.sqrt(_row_dot(gx, gx))))
-        p = np.where(fresh[:, None], direction, p)
-        slope = np.where(fresh, descent, slope)
-        t = np.where(fresh, first, t)
-        trials[fresh] = 0
+            ascent = fresh & ~(descent < 0.0)
+            if np.count_nonzero(ascent):
+                pairs.clear(ascent)
+                direction[ascent] = -gx[ascent]
+                descent = _row_dot(gx, direction)
+            first = np.ones(len(gx))
+            empty = pairs.count == 0
+            if np.count_nonzero(empty):
+                np.copyto(first, np.minimum(1.0, 1.0 / np.sqrt(_row_dot(gx, gx))), where=empty)
+            np.copyto(p, direction, where=fresh[:, None])
+            np.copyto(slope, descent, where=fresh)
+            np.copyto(t, first, where=fresh)
+        trials = np.where(fresh, 1, trials + 1)
 
         trial = x + t[:, None] * p
         ft, gt = f(trial)
         evaluations += 1
-        trials += 1
         accept = ft <= fx + _ARMIJO * t * slope
         s, y = trial - x, gt - gx
         sy = _row_dot(s, y)
         store = accept & (sy > 0.0)
-        if store.any():
+        if np.count_nonzero(store):
             pairs.push(store, s, y, sy)
         flat = fx - ft <= _FTOL * np.maximum(np.maximum(np.abs(fx), np.abs(ft)), 1.0)
-        own_test = accept & (flat | (np.abs(gt).max(axis=1) <= _GTOL))
+        own_test = accept & (flat | (np.maximum.reduce(np.abs(gt), axis=1) <= _GTOL))
         iterations += accept
-        capped = accept & ~own_test & (iterations >= max_iterations)
-        failed = ~accept & ((trials >= _MAX_TRIALS) | (trial == x).all(axis=1))
-        retry = failed & (pairs.count > 0)
-        if retry.any():
+        capped = accept & (iterations >= max_iterations)
+        stop = own_test | capped
+        fresh = accept ^ stop  # stop holds only where accept does
+        failed = ~accept & ((trials >= _MAX_TRIALS) | np.logical_and.reduce(trial == x, axis=1))
+        if np.count_nonzero(failed):
+            retry = failed & (pairs.count > 0)
             pairs.clear(retry)
-        status[own_test] = 0
-        status[capped] = 1
-        status[failed & ~retry] = 2
-
-        back = np.flatnonzero(~accept & ~failed)
+            stop |= failed & ~retry
+            fresh |= retry
+        back = (~(accept | failed)).nonzero()[0]
         if back.size:  # the quadratic's denominator is positive where Armijo fails
             tb, sb = t[back], slope[back]
-            quadratic = -sb * tb * tb / (2.0 * (ft[back] - fx[back] - sb * tb))
-            t[back] = np.clip(quadratic, 0.1 * tb, 0.5 * tb)
-        x = np.where(accept[:, None], trial, x)
-        fx = np.where(accept, ft, fx)
-        gx = np.where(accept[:, None], gt, gx)
-        fresh = (accept & ~own_test & ~capped) | retry
+            quadratic = -sb * tb * tb / (2.0 * ((ft - fx)[back] - sb * tb))
+            t[back] = quadratic.clip(0.1 * tb, 0.5 * tb)
+        np.copyto(x, trial, where=accept[:, None])
+        np.copyto(fx, ft, where=accept)
+        np.copyto(gx, gt, where=accept[:, None])
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of a with the same row of b."""
-    return (a * b).sum(axis=1)
+    return np.add.reduce(a * b, axis=1)
 
 
 class _Pairs:
@@ -469,14 +469,15 @@ class _Pairs:
         border = stack[:, : m - 1] @ y[..., None]  # s_j . y for the pairs kept
         inv = 1.0 / np.where(mask, sy, 1.0)
         kept = self.rinv[:, 1:, 1:]
-        rinv = np.zeros_like(self.rinv)
+        rinv = np.zeros(self.rinv.shape)
         rinv[:, :-1, :-1] = kept
-        rinv[:, :-1, -1:] = (kept @ border) * -inv[:, None, None]
+        np.multiply(kept @ border, -inv[:, None, None], out=rinv[:, :-1, -1:])
         rinv[:, -1, -1] = inv
-        self.stack = np.where(mask[:, None, None], stack, self.stack)
-        self.rinv = np.where(mask[:, None, None], rinv, self.rinv)
+        np.copyto(self.stack, stack, where=mask[:, None, None])
+        np.copyto(self.rinv, rinv, where=mask[:, None, None])
         np.divide(sy, _row_dot(y, y), out=self.gamma, where=mask)
-        self.count = np.where(mask, np.minimum(self.count + 1, m), self.count)
+        self.count += mask
+        np.minimum(self.count, m, out=self.count)
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g for each row: H g = gamma g + S'u - gamma Y'v with
@@ -488,10 +489,10 @@ class _Pairs:
         s_mem, y_mem = self.stack[:, :m], self.stack[:, m:]
         products = self.stack @ g[..., None]  # [S g; Y g]
         v = self.rinv @ products[:, :m]
-        y_v = np.swapaxes(y_mem, 1, 2) @ v
-        diag = 1.0 / np.diagonal(self.rinv, axis1=1, axis2=2)[..., None]
-        u = np.swapaxes(self.rinv, 1, 2) @ (diag * v + gamma * (y_mem @ y_v - products[:, m:]))
-        return ((gamma * y_v - np.swapaxes(s_mem, 1, 2) @ u)[..., 0]) - self.gamma[:, None] * g
+        y_v = y_mem.swapaxes(1, 2) @ v
+        diag = 1.0 / self.rinv.diagonal(0, 1, 2)[..., None]
+        u = self.rinv.swapaxes(1, 2) @ (diag * v + gamma * (y_mem @ y_v - products[:, m:]))
+        return ((gamma * y_v - s_mem.swapaxes(1, 2) @ u)[..., 0]) - self.gamma[:, None] * g
 
 
 def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:

@@ -591,8 +591,14 @@ class TestSearchMatch:
                 "babf4684328e589df9dac9828f647c2746e385fadab8e6be37bfd5ff4795cf64",
                 "aaadd5d747bd6afdb1b5bc7b6030c6f9244248eb421e46a76ac3c1a8f900944c",
             ),
+            (
+                # restart 9 ends with status 2 after a retry along -g
+                ("--d", "7", "--objective", "xoverlap", "--seed", "3", "--restarts", "10"),
+                "572c860f927068cd33cc116d3de6d0dcf03174c0a3f206735bfcba814eb40fcc",
+                "89df67cfa7c018f2c9eb63b5ded267263c72124ac5a26546024362212862626e",
+            ),
         ],
-        ids=["xoverlap-d7", "naive_x-d11", "sic-d7", "xoverlap-d19"],
+        ids=["xoverlap-d7", "naive_x-d11", "sic-d7", "xoverlap-d19", "xoverlap-d7-retry"],
     )
     def test_search_outputs_are_pinned(
         self, capsys, tmp_path, monkeypatch, argv, stdout_digest, out_digest

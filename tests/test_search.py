@@ -1,7 +1,9 @@
 """Multistart search: determinism, objective consistency, and matching."""
 
+import copy
 import json
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -375,6 +377,153 @@ class TestMinimize:
         assert len(results) == 3
         assert any(not r.converged for r in results)
         assert all(r.status == 1 for r in results if not r.converged)  # the iteration cap
+
+
+def synthetic(points):
+    """A row-wise test objective for _lbfgs on points (x0, x1, kind), whose
+    kind coordinate has zero gradient and so never moves.
+
+    kind 0: f = (x0^2 + 4 x1^2) / 2 with its true gradient.
+    kind 1: the same f, but inside the unit disc the gradient has the wrong
+            sign, so no step along a direction built from it descends.
+    kind 2: f = x0 - 1e17, whose unit steps round to the current point near
+            x0 = 1e17.
+    """
+    x0, x1, kind = points.T
+    values = 0.5 * (x0 * x0 + 4.0 * x1 * x1)
+    grads = np.stack([x0, 4.0 * x1, np.zeros(len(points))], axis=1)
+    liar = (kind == 1) & (x0 * x0 + x1 * x1 <= 1.0)
+    grads[liar, :2] *= -1.0
+    linear = kind == 2
+    values[linear] = x0[linear] - 1e17
+    grads[linear] = [1.0, 0.0, 0.0]
+    return values, grads
+
+
+#: Starting points of every kind; the batch runs them together.
+SYNTHETIC_STARTS = [(3.0, 1.0, 0.0), (3.0, 1.0, 1.0), (1e17, 0.0, 2.0), (-2.0, 0.5, 0.0),
+                    (2.5, -1.5, 1.0)]
+
+
+def run_lbfgs(starts, max_iterations=200):
+    """_lbfgs on the synthetic objective: row -> (point bytes, value,
+    iterations, evaluations, status).  A loop that never stops its rows
+    fails instead of hanging."""
+    calls = iter(range(10_000))
+
+    def f(points):
+        assert next(calls, None) is not None, "the minimizer did not stop"
+        return synthetic(points)
+
+    return {
+        int(r): (x.tobytes(), float(v), int(i), int(e), int(s))
+        for r, x, v, i, e, s in flatsic.search._lbfgs(
+            f, np.array(starts, dtype=float), max_iterations
+        )
+    }
+
+
+def recording_clear(monkeypatch):
+    """Patch _Pairs.clear to record the pair counts of the rows it clears."""
+    cleared, clear = [], flatsic.search._Pairs.clear
+
+    def record(self, mask):
+        cleared.extend(self.count[mask].tolist())
+        clear(self, mask)
+
+    monkeypatch.setattr(flatsic.search._Pairs, "clear", record)
+    return cleared
+
+
+class TestLbfgsBranches:
+    """The minimizer's rare branches, which no search configuration
+    reaches, on a synthetic objective; each row ends the same alone as in a
+    batch with rows of every kind."""
+
+    def assert_rows_alone_match_batch(self):
+        batch = run_lbfgs(SYNTHETIC_STARTS)
+        assert batch.keys() == set(range(len(SYNTHETIC_STARTS)))
+        for r, start in enumerate(SYNTHETIC_STARTS):
+            assert run_lbfgs([start]) == {0: batch[r]}
+        return batch
+
+    def test_failed_line_search_with_pairs_retries_along_minus_g(self, monkeypatch):
+        cleared = recording_clear(monkeypatch)
+        batch = self.assert_rows_alone_match_batch()
+        assert [batch[r][4] for r in range(5)] == [0, 2, 2, 0, 2]
+        assert cleared and min(cleared) > 0  # every clear was a retry with pairs stored
+        for r in (1, 4):  # both liars end inside the disc, where no step descends
+            x0, x1, _ = np.frombuffer(batch[r][0])
+            assert x0 * x0 + x1 * x1 <= 1.0
+
+    def test_failed_line_searches_run_out_of_trials(self, monkeypatch):
+        # a liar's line search from its pairs and its retry along -g both
+        # end after _MAX_TRIALS trial points: seven fewer trials each cost
+        # 14 evaluations fewer, and nothing else moves
+        full = run_lbfgs(SYNTHETIC_STARTS)
+        monkeypatch.setattr(flatsic.search, "_MAX_TRIALS", flatsic.search._MAX_TRIALS - 7)
+        short = self.assert_rows_alone_match_batch()
+        for r in (1, 4):
+            point, value, iterations, evaluations, status = full[r]
+            assert short[r] == (point, value, iterations, evaluations - 14, status)
+
+    def test_status_2_when_the_trial_point_rounds_to_the_current_point(self):
+        # 1e17 - 1 rounds to 1e17: the first line search fails at once, with
+        # no pairs to retry from
+        batch = self.assert_rows_alone_match_batch()
+        assert batch[2] == (np.array(SYNTHETIC_STARTS[2]).tobytes(), 0.0, 0, 2, 2)
+
+    def test_non_descent_direction_clears_pairs(self, monkeypatch):
+        # with pairs s.y > 0 the compact form descends up to rounding, so
+        # the branch is reached through a crafted state: a row whose second
+        # pair arrives has its pairs zeroed and gamma set to -1, which gives
+        # the direction +g
+        push = flatsic.search._Pairs.push
+
+        def crafted_push(self, mask, s, y, sy):
+            push(self, mask, s, y, sy)
+            second = mask & (self.count == 2)
+            self.stack[second] = 0.0
+            self.rinv[second] = np.eye(flatsic.search._MEMORY)
+            self.gamma[second] = -1.0
+
+        monkeypatch.setattr(flatsic.search._Pairs, "push", crafted_push)
+        cleared = recording_clear(monkeypatch)
+        batch = self.assert_rows_alone_match_batch()
+        assert 2 in cleared  # a crafted row's direction ascended and was cleared
+        assert batch[0][4] == batch[3][4] == 0  # the convex rows still converge
+
+
+class TestPairs:
+    def test_push_keeps_the_rows_outside_its_mask(self):
+        # row 1 has y = 0 and s.y = 0 (so no gamma); it and row 3 are outside
+        # the mask and keep their state bit for bit, without a warning.  The
+        # rows of the mask get what a push to them alone gives.
+        rng = np.random.default_rng(8)
+        pairs = flatsic.search._Pairs(4, 3)
+        for _ in range(12):
+            s = rng.standard_normal((4, 3))
+            y = s + 0.1 * rng.standard_normal((4, 3))
+            sy = np.add.reduce(s * y, axis=1)
+            pairs.push(sy > 0.0, s, y, sy)
+        assert np.array_equal(pairs.count, [10, 10, 10, 10])
+        mask = np.array([True, False, True, False])
+        inside, outside = copy.deepcopy(pairs), copy.deepcopy(pairs)
+        inside.keep(mask)
+        outside.keep(~mask)
+        s = rng.standard_normal((4, 3))
+        y = s.copy()
+        y[1] = 0.0
+        sy = np.add.reduce(s * y, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs.push(mask, s, y, sy)
+        inside.push(np.ones(2, dtype=bool), s[mask], y[mask], sy[mask])
+        for name in ("stack", "rinv", "gamma", "count"):
+            after = getattr(pairs, name)
+            assert after[~mask].tobytes() == getattr(outside, name).tobytes(), name
+            assert after[mask].tobytes() == getattr(inside, name).tobytes(), name
+        assert np.array_equal(pairs.stack[mask][:, 9], s[mask])
 
 
 class TestCanonicalMatch:
