@@ -101,25 +101,14 @@ class PerronCounts:
 
 
 def perron_counts(p: Dim | int, a: int) -> PerronCounts:
-    """Count residue classes of shifted Reste/Nichtreste by enumeration."""
+    """perron_table's row for the shift a (reduced mod p) as a PerronCounts
+    record."""
     dim = _require_3mod4_prime(p)
     p = dim.d
     a = int(a)
     if math.gcd(a, p) != 1:
         raise ValueError(f"shift must be coprime to p, got a={a}, p={p}")
-    signs = _residue_signs(p)
-    reste = np.flatnonzero(signs >= 0)
-    nicht = np.flatnonzero(signs < 0)
-    shifted_r = signs[(reste + a) % p]
-    shifted_n = signs[(nicht + a) % p]
-    return PerronCounts(
-        p=p,
-        a=a % p,
-        reste_from_reste=int(np.count_nonzero(shifted_r >= 0)),
-        nichtreste_from_reste=int(np.count_nonzero(shifted_r < 0)),
-        reste_from_nichtreste=int(np.count_nonzero(shifted_n >= 0)),
-        nichtreste_from_nichtreste=int(np.count_nonzero(shifted_n < 0)),
-    )
+    return PerronCounts(*perron_table(dim)[a % p - 1].tolist())
 
 
 def legendre_x1(dim: Dim | int, beta_sign: int = +1) -> complex:

@@ -28,13 +28,8 @@ when it stops:
 Every operation acts on each row alone, the same way whatever the batch
 holds, so a restart's result is bit-identical however many restarts run
 beside it.  Each restart draws its starting point from a generator seeded by
-(seed, restart_index).  Milliseconds per minimize call (the lowest of six
-passes, each the mean over seeds 1-3 of the best of three runs; a shared
-2-vCPU virtual machine, Python 3.11.7, numpy 2.4.6):
-
-    objective, d    xoverlap 7   11   19   67   201   naive_x 11   sic 7   19
-    R = 10                 4.9  6.6   11   32    90          7.7     5.6   15
-    R = 200                 21   29   48  387  1328           33      31  122
+(seed, restart_index).  README, "Numerical search", has the timings per
+minimize call and per step.
 """
 
 from __future__ import annotations
@@ -216,9 +211,11 @@ def _plan(config: SearchConfig):
 
 #: Bytes of the clock-shift tables of one slice of a sic evaluation, 16 d^2
 #: per row (a slice has at least one row); the slice's other temporaries
-#: are a few times that.  Slices of 1-4 MiB of tables ran up to twice as
-#: slow per row at d = 19-199, their temporaries no longer fitting in cache.
-_SIC_TABLE_BYTES = 1 << 19
+#: are a few times that.  Rows are evaluated alone, so the budget changes
+#: only the time: one evaluation took 0.67, 2.7 and 6.3 ms at (d, R) =
+#: (19, 50), (67, 10) and (101, 10), against 1.1, 4.5 and 9.3 ms at 512 KiB
+#: (interleaved, best of 7, a 2-vCPU virtual machine, numpy 2.4.6).
+_SIC_TABLE_BYTES = 1 << 16
 
 #: Largest d whose search transforms are products with the d x d DFT matrix.
 #: Below it numpy.fft's fixed cost per call outweighs the d^2 arithmetic of a
@@ -496,11 +493,16 @@ class _Pairs:
 
 
 def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
-    """True when some clock shift Z^k of a equals b up to a global phase.
+    """True when some clock shift Z^k a lies within tol of b, up to the
+    global phase that brings them nearest; the rule is symmetric in a and b.
 
-    The phase is fixed per shift by aligning the first non-negligible
-    component of b; distance is the Euclidean norm of the difference.  tol
-    must satisfy 0 < tol < inf, or a ValueError is raised.
+    Both are normalized first.  For unit vectors that nearest distance is
+    sqrt(2 - 2 |<b|Z^k|a>|), and one inverse transform of conj(b) a gives
+    <b|Z^k|a> for every k, so only the shifts whose overlap can reach
+    1 - tol^2 / 2 are checked directly: Z^k a against b turned by the phase
+    of <b|Z^k a>, by the Euclidean norm of the difference, which does not
+    cancel even at tol = 1e-10.  tol must satisfy 0 < tol < inf, or a
+    ValueError is raised.
     """
     tol = check_tolerance(tol)
     if a.dim.d != b.dim.d:
@@ -508,13 +510,16 @@ def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     ua = as_normalized(a)
     ub = as_normalized(b).components
     d = a.dim.d
-    i0 = int(np.flatnonzero(np.abs(ub) > 1e-12)[0])  # ub has unit norm
-    if abs(ua.components[i0]) < 1e-12:  # |(Z^k a)_i0| = |a_i0| for every k
-        return False
-    for k in range(d):
+    _, ifft = _transform_pair(d)
+    overlaps = np.abs(d * ifft(np.conj(ub) * ua.components))  # |<b|Z^k|a>| at k
+    # each overlap sums d products whose moduli total at most 1 (Cauchy-
+    # Schwarz), so the transform rounds it by less than d * eps; the slack
+    # keeps every shift within tol a candidate
+    slack = 4.0 * d * np.finfo(float).eps
+    for k in np.flatnonzero(overlaps >= 1.0 - 0.5 * tol * tol - slack).tolist():
         za = z_shift(ua, k).components
-        phase = za[i0] / ub[i0]
-        phase /= abs(phase)
+        overlap = np.vdot(ub, za)
+        phase = overlap / abs(overlap) if overlap else 1.0  # every phase is nearest at 0
         if np.linalg.norm(za - phase * ub) < tol:
             return True
     return False

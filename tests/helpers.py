@@ -1,8 +1,10 @@
 """Shared test helpers: published solution vectors, explicit-matrix oracles,
 the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum),
-the polynomial oracles (a double-precision evaluator, the published d = 7
-component basis and a reader of the exported text) and the byte oracles of
-the exported texts (one formatted string per term or per cell).
+the Perron counts by enumeration, the nearest clock-shift distance by brute
+force over every shift, the polynomial oracles (a double-precision
+evaluator, the published d = 7 component basis and a reader of the exported
+text) and the byte oracles of the exported texts (one formatted string per
+term or per cell).
 
 The catalog vectors are hard-coded from their closed-form components so that
 the package code is checked against independently constructed data.  No
@@ -170,6 +172,48 @@ def gik_fourier(psi) -> np.ndarray:
     # <Psi|X^i Z^j|Psi> = sum_s conj(psi_{s+i}) omega^{js} psi_s
     overlaps = (np.conj(a[(n[:, None] + n) % d]) * a) @ omega
     return np.abs(overlaps) ** 2 @ omega / d
+
+
+def perron_enumeration(p: int, a: int) -> list[int]:
+    """The PerronCounts fields of shift a mod p, in order, by enumeration:
+    Rest is 0 and the squares mod p, found by brute squaring, and each count
+    classifies x + a over one class x."""
+    x = np.arange(p, dtype=np.int64)
+    rest = np.zeros(p, dtype=bool)
+    rest[(x * x) % p] = True
+    moved = rest[(x + a) % p]
+    counts = [np.count_nonzero(c & m) for c in (rest, ~rest) for m in (moved, ~moved)]
+    return [p, a % p, *map(int, counts)]
+
+
+def small_first_component_pair() -> tuple[CVec, CVec]:
+    """(a, b) at d = 11: a a random unit vector whose component 0 was 3e-12
+    before normalizing, b = a plus noise of norm 1e-10, renormalized.  They
+    match at tol = 1e-8 in either order, though component 0 is below 1e-12
+    in a and above it in b."""
+    rng = np.random.default_rng(0)
+    a = random_complex(rng, 11)
+    a[0] = 3e-12
+    a /= np.linalg.norm(a)
+    noise = random_complex(rng, 11)
+    b = a + 1e-10 * noise / np.linalg.norm(noise)
+    return cvec(a), cvec(b / np.linalg.norm(b))
+
+
+def nearest_clock_shift_distance(a: CVec, b: CVec) -> float:
+    """min over k and unit c of |Z^k a - c b| for the normalized a and b, by
+    brute force over every k with the optimal phase c = <b|Z^k a> / |.|
+    (any c where that overlap is 0)."""
+    ua, ub = (v / np.linalg.norm(v) for v in (_components(a), _components(b)))
+    d = ua.shape[0]
+    n = np.arange(d)
+    best = np.inf
+    for k in range(d):
+        za = np.exp(2j * np.pi * ((k * n) % d) / d) * ua
+        overlap = np.vdot(ub, za)
+        phase = overlap / abs(overlap) if overlap else 1.0
+        best = min(best, float(np.linalg.norm(za - phase * ub)))
+    return best
 
 
 def random_complex(rng, d: int) -> np.ndarray:

@@ -17,8 +17,10 @@ from helpers import (
     ZERO_D3_RESCALED,
     d7_solution,
     normalize_rescaled,
+    perron_enumeration,
     random_unit,
     rescaled_d7_text,
+    small_first_component_pair,
 )
 
 from flatsic import (
@@ -29,7 +31,6 @@ from flatsic import (
     overlap_table,
     overlap_table_csv,
     parse_vector_file,
-    perron_counts,
 )
 from flatsic import legendre as legendre_mod
 from flatsic.cli import main
@@ -373,11 +374,7 @@ class TestPerronLemma:
         ]
         for p in (3, 7, 11):
             for a in range(1, p):
-                c = perron_counts(p, a)
-                expected.append(
-                    f"{p},{a},{c.reste_from_reste},{c.nichtreste_from_reste},"
-                    f"{c.reste_from_nichtreste},{c.nichtreste_from_nichtreste}"
-                )
+                expected.append(",".join(map(str, perron_enumeration(p, a))))
         assert csv_path.read_text() == "\n".join(expected) + "\n"
 
 
@@ -669,6 +666,15 @@ class TestSearchMatch:
         code, out, _ = run(capsys, "--porcelain", "match", d7_file, str(other))
         assert code == 1
         assert porcelain_dict(out)["match"] == "false"
+
+    def test_match_small_first_component_pair(self, capsys, tmp_path):
+        paths = []
+        for name, vec in zip("ab", small_first_component_pair()):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dump_vector(vec))
+        for first, second in (paths, paths[::-1]):
+            code, out, _ = run(capsys, "--porcelain", "match", str(first), str(second))
+            assert (code, porcelain_dict(out)["match"]) == (0, "true")
 
 
 class TestErrors:

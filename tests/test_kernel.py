@@ -7,13 +7,12 @@ calls the kernel.  The input vector is normalized here too, without
 flatsic's form conversions.
 """
 
-import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
-from helpers import gik_quartic, random_complex, random_unit
+from helpers import gik_quartic, perron_enumeration, random_complex, random_unit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -34,7 +33,6 @@ from flatsic import (
     naive_x_residual,
     objective,
     overlap_table,
-    perron_counts,
     to_normalized,
     to_rescaled,
     to_vform,
@@ -238,6 +236,4 @@ def test_perron_sweep_covers_every_shift():
     sweep = legendre_sweep(23, perron_table)
     assert [p for p, _ in sweep] == [3, 7, 11, 19, 23]
     for p, table in sweep:
-        assert table.tolist() == [
-            list(dataclasses.astuple(perron_counts(p, a))) for a in range(1, p)
-        ]
+        assert table.tolist() == [perron_enumeration(p, a) for a in range(1, p)]

@@ -7,7 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import NON_REAL_TOLERANCES, QR7, QR67, d7_solution, d19_solution, d67_solution
+from helpers import (
+    NON_REAL_TOLERANCES,
+    QR7,
+    QR67,
+    d7_solution,
+    d19_solution,
+    d67_solution,
+    perron_enumeration,
+)
 from numpy.testing import assert_allclose
 
 from flatsic import (
@@ -93,6 +101,22 @@ class TestPerron:
         with pytest.raises(ValueError):
             perron_counts(11, 22)
 
+    @pytest.mark.parametrize("p", [2, 5, 9, 13, 15])
+    def test_rejects_a_modulus_that_is_no_prime_3_mod_4(self, p):
+        with pytest.raises(ValueError, match=f"requires a prime d = 3 mod 4, got d={p}$"):
+            perron_counts(p, 1)
+
+    @pytest.mark.parametrize("a", [0, 11, -11, 22])
+    def test_rejects_a_shift_divisible_by_p(self, a):
+        with pytest.raises(ValueError, match=f"coprime to p, got a={a}, p=11$"):
+            perron_counts(11, a)
+
+    def test_counts_equal_enumeration_below_500(self):
+        for p in primes_3mod4(500):
+            for a in range(1, p):
+                assert list(dataclasses.astuple(perron_counts(p, a))) == perron_enumeration(p, a)
+            assert perron_counts(p, 1 - p) == perron_counts(p, 1)
+
     def test_counting_statements_small_sweep(self):
         for p in primes_3mod4(100):
             for a in range(1, p):
@@ -110,9 +134,7 @@ class TestPerron:
 
     @pytest.mark.parametrize("p", primes_3mod4(200) + [499])
     def test_table_equals_per_shift_counts(self, p):
-        assert perron_table(p).tolist() == [
-            list(dataclasses.astuple(perron_counts(p, a))) for a in range(1, p)
-        ]
+        assert perron_table(p).tolist() == [perron_enumeration(p, a) for a in range(1, p)]
 
     def test_table_equals_per_shift_counts_at_a_large_prime(self):
         # the autocorrelation rounds to the exact counts far beyond the sweep
@@ -120,7 +142,7 @@ class TestPerron:
         table = perron_table(p)
         shifts = [1, p - 1, *np.random.default_rng(p).integers(2, p - 1, 20).tolist()]
         for a in shifts:
-            assert table[a - 1].tolist() == list(dataclasses.astuple(perron_counts(p, a))), a
+            assert table[a - 1].tolist() == perron_enumeration(p, a), a
 
     def test_table_memory_is_linear_in_p(self):
         # a (p-1) x p boolean window took 32 MB at p = 8011; the

@@ -8,7 +8,17 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from helpers import NON_REAL_TOLERANCES, basis_vector, d7_solution, normalize_rescaled
+from helpers import (
+    NON_REAL_TOLERANCES,
+    basis_vector,
+    d7_solution,
+    nearest_clock_shift_distance,
+    normalize_rescaled,
+    random_complex,
+    small_first_component_pair,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatsic.search
 from flatsic import (
@@ -301,6 +311,16 @@ class TestBatch:
             assert value == values[r]
             assert np.array_equal(grad, grads[r])
 
+    @pytest.mark.parametrize("d, rows", [(19, 50), (43, 10), (67, 10)])
+    def test_sic_table_budget_changes_no_bit(self, monkeypatch, d, rows):
+        angles = np.random.default_rng(d).uniform(0, 2 * np.pi, (rows, (d - 1) // 2))
+        evaluations = []
+        for budget in (1 << 16, 1 << 19):  # several slices, then one or two
+            monkeypatch.setattr(flatsic.search, "_SIC_TABLE_BYTES", budget)
+            evaluations.append(flatsic.search._plan(config(d, obj="sic"))(angles))
+        (v1, g1), (v2, g2) = evaluations
+        assert v1.tobytes() == v2.tobytes() and g1.tobytes() == g2.tobytes()
+
     def test_sic_evaluation_memory_is_bounded(self):
         # unsliced, 50 rows at d = 199 hold a few 50-table arrays of about
         # 32 MB each at once
@@ -544,6 +564,44 @@ class TestCanonicalMatch:
         psi = normalize_rescaled(d7_solution(+1))
         rotated = cvec(np.exp(0.7j) * psi.components)
         assert canonical_match(psi, rotated, tol=1e-10)
+
+    def test_small_first_component_matches_in_either_order(self):
+        a, b = small_first_component_pair()
+        assert canonical_match(a, b, tol=1e-8)
+        assert canonical_match(b, a, tol=1e-8)
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(
+        d=st.sampled_from([3, 5, 11, 19, 67, DENSE_D, FFT_D, 401]),
+        seed=st.integers(0, 2**32 - 1),
+        near_basis=st.booleans(),
+        log_noise=st.floats(-13.0, -1.0),
+        log_tol=st.floats(-10.0, np.log10(0.5)),
+    )
+    def test_agrees_with_the_nearest_distance_and_is_symmetric(
+        self, d, seed, near_basis, log_noise, log_tol
+    ):
+        # b is a phase times a clock shift of a, plus noise; near a basis
+        # vector every other component of a is about 1e-6
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, d)
+        if near_basis:
+            a = np.eye(d)[rng.integers(d)] + 1e-6 * a / np.linalg.norm(a)
+        a = cvec(a / np.linalg.norm(a))
+        noise = random_complex(rng, d)
+        b = z_shift(a, int(rng.integers(d))).components * np.exp(1j * rng.uniform(0.0, 7.0))
+        b = b + 10.0**log_noise * noise / np.linalg.norm(noise)
+        b = cvec(b / np.linalg.norm(b))
+        tol = 10.0**log_tol
+        expect = nearest_clock_shift_distance(a, b) < tol
+        assert canonical_match(a, b, tol=tol) == expect
+        assert canonical_match(b, a, tol=tol) == expect
+
+    def test_tolerance_beyond_the_largest_distance(self):
+        # orthogonal unit vectors lie sqrt(2) apart at every shift and phase
+        a, b = basis_vector(5, 1), basis_vector(5, 0)
+        assert canonical_match(a, b, tol=1.5)
+        assert not canonical_match(a, b, tol=1.4)
 
     def test_distinct_branches_do_not_match(self):
         a = normalize_rescaled(d7_solution(-1))

@@ -615,6 +615,16 @@ def test_search_transforms_only_through_its_transform_pair():
     assert owners and set(owners) == {"_transform_pair"}
 
 
+def test_canonical_match_runs_over_no_range_of_shifts():
+    # one transform gives every shift's overlap; only candidates are checked
+    (func,) = [
+        node
+        for node in _search_tree().body
+        if isinstance(node, ast.FunctionDef) and node.name == "canonical_match"
+    ]
+    assert "range" not in _called_names(func)
+
+
 #: weyl's spectral kernel: the package's own numpy.fft transforms.
 _SPECTRAL_KERNEL = {"autocorrelation", "clock_shift_rows", "overlap_rows"}
 
