@@ -137,13 +137,10 @@ def to_vform(av: AnsatzVector) -> CVec:
 
 
 def to_normalized(av: AnsatzVector) -> CVec:
-    """Unit-norm vector N (sqrt(x0), v_1, ..., v_{d-1}).
-
-    On the default branch the true norm of the v-form equals 1/N with
-    N^2 = 1/(d-1-x0); ghost vectors are divided by their actual norm.
-    """
-    w = np.concatenate(([av.sqrt_x0], av.phases))
-    return CVec(av.dim, w / np.linalg.norm(w), "normalized")
+    """Unit-norm vector N (sqrt(x0), v_1, ..., v_{d-1}): the v-form divided
+    by its computed norm, which on the default branch is 1/N with
+    N^2 = 1/(d-1-x0)."""
+    return as_normalized(to_vform(av))
 
 
 def to_rescaled(av: AnsatzVector) -> CVec:

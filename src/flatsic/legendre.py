@@ -9,7 +9,8 @@ The closed-form phase that solves the X-overlap equation is
     x1 = (beta - x0) / (sqrt(d+1) sqrt(x0)),          d = 7 mod 8,
 
 where beta is a square root of -(sqrt(d+1)+1), respectively of
--(d-3)(sqrt(d+1)+1); both branches of beta give solutions.
+-(d-3)(sqrt(d+1)+1); both branches of beta give solutions, and since beta
+is imaginary the beta = -1 vector is -conj of the beta = +1 vector.
 
 Perron's counting theorems drive the closed-form autocorrelation: with
 "Reste" meaning quadratic residues together with 0, shifting the Reste by
@@ -157,36 +158,33 @@ def build_legendre_vector(dim: Dim | int, beta_sign: int = +1) -> LegendreVector
 def lemma1_closed_form(dim: Dim | int, x1: complex, j_is_residue: bool) -> complex:
     """Closed-form autocorrelation <v|X^{-2j}|v> of a Legendre vector.
 
-    The four cases split by d mod 8 and by the residue class of j; the
-    non-residue case substitutes x1 -> -1/x1 into the residue formula.
+    One expression in a unit phase z,
+
+        (d-3)/2 - (d-3)/(4 z^2) - (d+1)/4 z^2 + 2 sqrt(x0)/z,
+
+    taken at z = x1 for a residue j when d = 3 mod 8 and at z = -1/x1 for a
+    non-residue; d = 7 mod 8 exchanges the two classes.
     """
     dim = _require_3mod4_prime(dim)
     d = dim.d
-    z = complex(x1) if j_is_residue else -1.0 / complex(x1)
+    z = complex(x1) if j_is_residue == (dim.mod8 == 3) else -1.0 / complex(x1)
     _, sx0 = _branch(d, ghost=False)
-    if dim.mod8 == 3:
-        return complex(
-            (d - 3) / 2.0
-            - (d - 3) / 4.0 / z**2
-            - (d + 1) / 4.0 * z**2
-            + 2.0 * sx0 / z
-        )
     return complex(
         (d - 3) / 2.0
-        - (d + 1) / 4.0 / z**2
-        - (d - 3) / 4.0 * z**2
-        - 2.0 * sx0 * z
+        - (d - 3) / 4.0 / z**2
+        - (d + 1) / 4.0 * z**2
+        + 2.0 * sx0 / z
     )
 
 
 @dataclass(frozen=True)
 class BranchReport:
-    """Residuals of one beta branch of the Legendre vector."""
+    """One beta branch of the Legendre vector: its X-overlap residual and
+    verify.is_sic's report on it."""
 
     beta_sign: int
     x_overlap_residual: float
-    sic_residual: float
-    is_sic: bool
+    sic: verify.SicReport
 
 
 @dataclass(frozen=True)
@@ -195,28 +193,17 @@ class LegendreClassification:
 
     dim: Dim
     branches: tuple[BranchReport, BranchReport]
-    tolerance: float
 
 
 def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClassification:
-    """Evaluate X-overlap and SIC residuals of both Legendre branches; the
-    SIC verdicts and the tolerance are those of verify.is_sic."""
+    """X-overlap residuals and verify.is_sic reports of both Legendre
+    branches; tol is passed to is_sic."""
     dim = _require_3mod4_prime(dim)
     reports = []
     for sign in (+1, -1):
         psi = to_normalized(build_legendre_vector(dim, sign).ansatz)
-        sic = verify.is_sic(psi, tol)
-        reports.append(
-            BranchReport(
-                beta_sign=sign,
-                x_overlap_residual=x_overlap_residual(psi),
-                sic_residual=sic.max_modulus_deviation,
-                is_sic=sic.is_sic,
-            )
-        )
-    return LegendreClassification(
-        dim=dim, branches=tuple(reports), tolerance=sic.tolerance_used
-    )
+        reports.append(BranchReport(sign, x_overlap_residual(psi), verify.is_sic(psi, tol)))
+    return LegendreClassification(dim=dim, branches=tuple(reports))
 
 
 def lemma1_deviation(dim: Dim | int) -> float:

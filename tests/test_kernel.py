@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import gik_quartic, perron_enumeration, random_complex, random_unit
+from helpers import (
+    displacement_matrix,
+    gik_quartic,
+    perron_enumeration,
+    random_complex,
+    random_unit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -136,6 +142,43 @@ def test_row_minus_j_is_row_j_with_columns_reversed(parity, half, j, seed):
     minus, plus = np.abs(clock_shift_rows(psi, [-j, j]))
     reversed_cols = (-np.arange(d)) % d
     assert_allclose(minus[reversed_cols], plus, rtol=0, atol=1e-13 * np.vdot(psi, psi).real)
+
+
+def _orbit_constant(rng, d, m):
+    """A random vector, not normalized, with psi_{mj} = psi_j for every j:
+    one random value per orbit of j -> m j on Z_d, m coprime to d."""
+    orbit_min = [min(j * pow(m, t, d) % d for t in range(d)) for j in range(d)]
+    return random_complex(rng, d)[orbit_min]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 12), unit=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_multiplier_permutes_the_overlap_moduli(d, unit, seed):
+    # psi_{mj} = psi_j makes psi invariant under the multiplier M_m, and
+    # M_m D_{j,k} M_m^dagger = D_{mj, m^-1 k} up to a phase, so
+    # |<psi|D_{mj, m^-1 k}|psi>| = |<psi|D_{j,k}|psi>|
+    units = [m for m in range(1, d) if math.gcd(m, d) == 1]
+    m = units[unit % len(units)]
+    psi = _orbit_constant(np.random.default_rng(seed), d, m)
+    m_inv = pow(m, -1, d)
+    atol = 1e-13 * np.vdot(psi, psi).real
+    rows = np.abs(clock_shift_rows(psi, np.arange(d)))
+    for j in range(d):
+        for k in range(d):
+            moved = displacement_matrix(d, m * j, m_inv * k)
+            expect = abs(np.vdot(psi, displacement_matrix(d, j, k) @ psi))
+            assert abs(np.vdot(psi, moved @ psi)) == pytest.approx(expect, abs=atol)
+            assert rows[m * j % d, m_inv * k % d] == pytest.approx(expect, abs=atol)
+
+
+@pytest.mark.parametrize("d, m", [(19, 7), (39, 16), (67, 29), (103, 46)])
+def test_multiplier_row_is_a_column_permutation(d, m):
+    # the kernel's row mj is row j with column k moved to m^-1 k; each m
+    # has order 3, at prime d and at d = 39 = 3 * 13
+    psi = _orbit_constant(np.random.default_rng(d), d, m)
+    rows = np.abs(clock_shift_rows(psi, np.arange(d)))
+    moved = rows[(m * np.arange(d)) % d][:, (pow(m, -1, d) * np.arange(d)) % d]
+    assert_allclose(moved, rows, rtol=0, atol=1e-13 * np.vdot(psi, psi).real)
 
 
 @pytest.mark.parametrize("vec", ALL)

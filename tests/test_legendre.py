@@ -206,6 +206,18 @@ class TestLegendreX1:
             assert legendre_x1(p, -1) == pytest.approx(
                 -np.conj(legendre_x1(p, +1)), abs=1e-14
             )
+        # sqrt(x0) is imaginary and |x1| = 1, so -conj maps the beta = +1
+        # vector onto the beta = -1 vector component by component, and the
+        # two branches have the same moduli and the same residuals
+        for p in primes_3mod4(500):
+            plus, minus = (to_normalized(build_legendre_vector(p, s).ansatz) for s in (+1, -1))
+            assert_allclose(minus.components, -np.conj(plus.components), rtol=0, atol=1e-15)
+            if p < 200:
+                a, b = classify_legendre(p).branches
+                for field in ("max_modulus_deviation", "gik_max_deviation"):
+                    gap = abs(getattr(a.sic, field) - getattr(b.sic, field))
+                    assert gap <= 1e-15, (p, field)
+                assert abs(a.x_overlap_residual - b.x_overlap_residual) <= 1e-14, p
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -320,31 +332,33 @@ class TestLemma1:
 class TestClassify:
     def test_d7_sic(self):
         c = classify_legendre(7)
-        assert all(b.is_sic for b in c.branches)
+        assert all(b.sic.is_sic for b in c.branches)
         assert max(b.x_overlap_residual for b in c.branches) < 1e-11
-        assert all(b.is_sic for b in c.branches)
 
     def test_d67_not_sic(self):
         c = classify_legendre(67)
-        assert not all(b.is_sic for b in c.branches)
+        assert not all(b.sic.is_sic for b in c.branches)
         assert max(b.x_overlap_residual for b in c.branches) < 1e-9
-        assert max(b.sic_residual for b in c.branches) > 0.01
+        assert max(b.sic.max_modulus_deviation for b in c.branches) > 0.01
 
     def test_d23_not_sic(self):
         c = classify_legendre(23)
-        assert not all(b.is_sic for b in c.branches)
+        assert not all(b.sic.is_sic for b in c.branches)
         assert max(b.x_overlap_residual for b in c.branches) < 1e-10
-        assert max(b.sic_residual for b in c.branches) > 0.01
+        assert max(b.sic.max_modulus_deviation for b in c.branches) > 0.01
 
-    @pytest.mark.parametrize("p", [7, 23, 67])
+    @pytest.mark.parametrize("p", primes_3mod4(200))
     def test_verdicts_are_is_sic(self, p):
         c = classify_legendre(p)
+        assert [b.beta_sign for b in c.branches] == [+1, -1]
         for branch in c.branches:
             psi = to_normalized(build_legendre_vector(p, branch.beta_sign).ansatz)
-            report = is_sic(psi)
-            assert branch.sic_residual == report.max_modulus_deviation
-            assert branch.is_sic == report.is_sic
-            assert c.tolerance == report.tolerance_used
+            assert branch.sic == is_sic(psi)
+            assert branch.x_overlap_residual == x_overlap_residual(psi)
+
+    def test_tolerance_reaches_is_sic(self):
+        for branch in classify_legendre(7, tol=0.5).branches:
+            assert branch.sic.tolerance_used == 0.5
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, *NON_REAL_TOLERANCES])
     def test_rejects_bad_tolerance(self, tol):
