@@ -9,8 +9,9 @@ The closed-form phase that solves the X-overlap equation is
     x1 = (beta - x0) / (sqrt(d+1) sqrt(x0)),          d = 7 mod 8,
 
 where beta is a square root of -(sqrt(d+1)+1), respectively of
--(d-3)(sqrt(d+1)+1); both branches of beta give solutions, and since beta
-is imaginary the beta = -1 vector is -conj of the beta = +1 vector.
+-(d-3)(sqrt(d+1)+1); both branches of beta give solutions.  Since beta and
+sqrt(x0) are imaginary and |x1| = 1, the beta = -1 vector is -conj of the
+beta = +1 vector.
 
 Perron's counting theorems drive the closed-form autocorrelation: with
 "Reste" meaning quadratic residues together with 0, shifting the Reste by

@@ -34,7 +34,6 @@ minimize call and per step.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -117,8 +116,8 @@ def objective_and_gradient(config: SearchConfig, angles) -> tuple[float, np.ndar
     v-form for xoverlap, the unit vector otherwise; its norm is the same at
     every angle), then chained to the angles by _angle_gradient.
 
-    Each call builds a fresh plan, though the transform pair is built once
-    per d; repeated evaluation belongs in minimize, which builds one plan.
+    Each call builds a fresh plan, the d x d DFT matrix included below the
+    crossover; repeated evaluation belongs in minimize, which builds one.
     """
     values, grads = _plan(config)(_one_row(angles))
     return float(values[0]), grads[0]
@@ -129,10 +128,9 @@ def _plan(config: SearchConfig):
     rows, shape (R, (d-1)/2), returning the R values and their (R, (d-1)/2)
     gradient.
 
-    Everything that depends only on d is computed here, once per search,
-    except the transform pair, which is built once per d.  Each evaluation
-    builds the v-form array of its angles and the kernel quantities of those
-    vectors, and nothing else.
+    Everything that depends only on d is computed here, once per search:
+    the transform pair among it.  Each evaluation builds the v-form array of
+    its angles and the kernel quantities of those vectors, and nothing else.
     Every operation acts on each row alone, in the same way whatever the
     number of rows, so a row's value and gradient do not depend on the rest
     of the batch.  Gathers along the last axis use take: an index array
@@ -226,35 +224,29 @@ _SIC_TABLE_BYTES = 1 << 16
 _DENSE_MAX_D = 199
 
 
-@functools.lru_cache(maxsize=4)
 def _transform_pair(d: int):
     """(fft, ifft): numpy.fft's unnormalized length-d DFT and its inverse,
-    along the last axis of their argument, built once per d.
+    along the last axis of their argument.
 
     For d <= _DENSE_MAX_D both are products with the DFT matrix
     F_jk = omega^{-jk}, read from weyl._omega_phase (the exponent reduced
-    exactly before it is scaled), and conj(F) / d, both read-only.  F is
-    symmetric, so x @ F transforms every row of x.  A batch of vectors,
-    shape (R, d), goes through one vector-matrix product per row, since a
-    matrix-matrix product may round a row differently from the product of
-    that row alone; a batch of d x d tables, shape (R, d, d), through one
-    matrix-matrix product per table, the same for each table whatever R is.
-    Above that d they are numpy.fft itself.
+    exactly before it is scaled), and conj(F) / d.  F is symmetric, so x @ F
+    transforms every row of x.  A batch of vectors, shape (R, d), goes
+    through one vector-matrix product per row, since a matrix-matrix product
+    may round a row differently from the product of that row alone; a batch
+    of d x d tables, shape (R, d, d), through one matrix-matrix product per
+    table, the same for each table whatever R is.  Above that d they are
+    numpy.fft itself.
     """
     if d > _DENSE_MAX_D:
         return np.fft.fft, np.fft.ifft
     forward = np.conj(_omega_phase(d, np.outer(np.arange(d), np.arange(d))))
     inverse = np.conj(forward) / d
-    forward.setflags(write=False)
-    inverse.setflags(write=False)
-    return (
-        functools.partial(_dense_product, matrix=forward),
-        functools.partial(_dense_product, matrix=inverse),
-    )
 
+    def product(x, matrix):
+        return x @ matrix if x.ndim > 2 else (x[..., None, :] @ matrix)[..., 0, :]
 
-def _dense_product(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return x @ matrix if x.ndim > 2 else (x[..., None, :] @ matrix)[..., 0, :]
+    return (lambda x: product(x, forward)), (lambda x: product(x, inverse))
 
 
 def _lag_adjoint(fft, ifft, spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -201,16 +201,6 @@ class TestTransformPair:
         assert flatsic.search._transform_pair(FFT_D) == (np.fft.fft, np.fft.ifft)
         assert flatsic.search._transform_pair(DENSE_D)[0] is not np.fft.fft
 
-    @pytest.mark.parametrize("d", [7, DENSE_D, FFT_D])
-    def test_built_once_per_d_and_read_only(self, d):
-        pair = flatsic.search._transform_pair(d)
-        assert flatsic.search._transform_pair(d) is pair
-        for transform in pair:
-            if d <= flatsic.search._DENSE_MAX_D:
-                assert not transform.keywords["matrix"].flags.writeable
-            else:
-                assert transform in (np.fft.fft, np.fft.ifft)
-
     @pytest.mark.parametrize("d", [3, 7, DENSE_D, FFT_D])
     def test_equals_numpy_fft(self, d):
         fft, ifft = flatsic.search._transform_pair(d)
