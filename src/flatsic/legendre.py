@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from .ansatz import AnsatzVector, _branch, build_ansatz, to_normalized, x_overlap_residual
+from .ansatz import (
+    AnsatzVector,
+    _branch,
+    _vform_array,
+    build_ansatz,
+    to_normalized,
+    x_overlap_residual,
+)
 from .weyl import Dim, _as_dim, _x_lags, autocorrelation, is_prime, make_dimension
 
 __all__ = [
@@ -148,12 +155,19 @@ def build_legendre_vector(dim: Dim | int, beta_sign: int = +1) -> LegendreVector
     """Construct the Legendre vector with phases x1 / -1/x1 by residue class."""
     dim = _require_3mod4_prime(dim)
     x1 = legendre_x1(dim, beta_sign)
-    d = dim.d
-    half = (d - 1) // 2
-    signs = _residue_signs(d)
-    phases = np.where(signs[1 : half + 1] > 0, x1, -1.0 / x1)
-    av = build_ansatz(dim, np.angle(phases))
+    av = build_ansatz(dim, _pattern_angles(dim, [x1])[0])
     return LegendreVector(dim=dim, x1=x1, beta_sign=beta_sign, ansatz=av)
+
+
+def _pattern_angles(dim: Dim, x1s) -> np.ndarray:
+    """The free angles of the Legendre vectors with phases x1s, one row per
+    phase, shape (len(x1s), (d-1)/2): angle j-1 is that of x1 at a quadratic
+    residue j and of -1/x1 elsewhere.  The only place the residue pattern
+    is laid over the angles.  -1/x1 is taken by Python's complex division:
+    numpy's differs from it in the last bit for some x1."""
+    half = (dim.d - 1) // 2
+    residue = _residue_signs(dim.d)[1 : half + 1] > 0
+    return np.angle(np.where(residue, [[x1] for x1 in x1s], [[-1.0 / x1] for x1 in x1s]))
 
 
 def lemma1_closed_form(dim: Dim | int, x1: complex, j_is_residue: bool) -> complex:
@@ -209,20 +223,19 @@ def classify_legendre(dim: Dim | int, tol: float | None = None) -> LegendreClass
 
 def lemma1_deviation(dim: Dim | int) -> float:
     """max over both beta branches and j = 1..p-1 of |<v|X^{-2j}|v> minus
-    lemma1_closed_form|, the direct side of both branches read from one
-    autocorrelation of their stacked v-forms and the closed form evaluated
+    lemma1_closed_form|.  Both branches' v-forms come from one _vform_array
+    build of their two angle rows, the direct side of both from one
+    autocorrelation of that (2, p) array, and the closed form is evaluated
     once per branch and residue class."""
     dim = _require_3mod4_prime(dim)
     p = dim.d
     residue = _residue_signs(p)[1:] > 0
-    plus, minus = build_legendre_vector(dim, +1), build_legendre_vector(dim, -1)
-    # both v-forms, unchecked (this runs per prime); the branches share sqrt(x0)
-    phases = np.stack([plus.ansatz.phases, minus.ansatz.phases])
-    v = np.insert(phases, 0, plus.ansatz.sqrt_x0, axis=1)
+    plus, minus = legendre_x1(dim, +1), legendre_x1(dim, -1)
+    _, v = _vform_array(p, _pattern_angles(dim, (plus, minus)), _branch(p, ghost=False)[1])
 
-    def closed(vec):
-        on_residues = lemma1_closed_form(dim, vec.x1, True)
-        return np.where(residue, on_residues, lemma1_closed_form(dim, vec.x1, False))
+    def closed(x1):
+        on_residues = lemma1_closed_form(dim, x1, True)
+        return np.where(residue, on_residues, lemma1_closed_form(dim, x1, False))
 
     direct = autocorrelation(v)[:, _x_lags(p)]
     return float(np.max(np.abs(direct - [closed(plus), closed(minus)])))
@@ -233,13 +246,15 @@ def perron_table(dim: Dim | int) -> np.ndarray:
     array, row a-1 for shift a, its columns the PerronCounts fields in order.
 
     reste_from_reste, #{x in Rest : x + a in Rest}, is the lag-a circular
-    autocorrelation of the Rest indicator, read for all a in O(p) memory and
-    rounded (the counts are integers; the error was 5.8e-10 at p = 10^6 + 3);
-    lag 0 counts the Reste.  A shift permutes Z_p, so the Nichtreste counts
-    are the class sizes minus the Reste counts."""
+    autocorrelation of the Rest indicator.  That indicator is real, so
+    autocorrelation reads every a from one rfft/irfft pair at the power of
+    two above 2p - 1, in O(p) memory, and the result is rounded: the counts
+    are integers, and max |c - rint(c)| was 1.7e-10 at p = 10^6 + 3.  Lag 0
+    counts the Reste.  A shift permutes Z_p, so the Nichtreste counts are
+    the class sizes minus the Reste counts."""
     dim = _require_3mod4_prime(dim)
     p = dim.d
-    counts = np.rint(autocorrelation(_residue_signs(p) >= 0).real).astype(np.int64)
+    counts = np.rint(autocorrelation(_residue_signs(p) >= 0)).astype(np.int64)
     n_rest, rr = counts[0], counts[1:]
     return np.column_stack(
         [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, p - 2 * n_rest + rr]

@@ -30,8 +30,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
-from .weyl import Dim, _check_integer, _odd_dim
+from .weyl import Dim, _check_integer, _odd_dim, _x_lags
 
 __all__ = [
     "Poly",
@@ -101,7 +102,10 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
     """Generators: pair relations, the x_0 quadratic, the X-overlap cubics,
     and optional symmetry constraints x_j - x_{mj}.
 
-    Requires odd d; a symmetry multiplier must be coprime to d.
+    The cubic P_j takes its lag 2j mod d from weyl._x_lags.  Its pairs
+    a < b with a + b = 2j mod d have a + b equal to that lag or to the lag
+    plus d, so both runs of a are enumerated directly, (d-1)/2 pairs per
+    cubic.  Requires odd d; a symmetry multiplier must be coprime to d.
     """
     dim = _odd_dim(dim)
     d = dim.d
@@ -115,13 +119,12 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
     gens = [Poly(d, {(j, d - j): 1, (0,): 1}) for j in range(1, (d - 1) // 2 + 1)]
     gens.append(Poly(d, {(0, 0): 1, (0,): 4, (): 3 - d}))
     two, minus_one = Fraction(2), Fraction(-1)
-    for j in range(1, d):
-        # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2, pairs keyed with x_0 last
-        cubic = {}
-        for a in range(d):
-            b = (2 * j - a) % d
-            if a < b:
-                cubic[(a, b) if a else (b, 0)] = two
+    for j, lag in enumerate(_x_lags(d).tolist(), start=1):
+        # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2: a + b is the lag
+        # 2j mod d (a < lag/2) or that lag plus d (lag < a < (lag+d)/2), so
+        # b = lag - a mod d; the pair (0, lag) is keyed with x_0 last
+        runs = chain(range((lag + 1) // 2), range(lag + 1, (lag + d + 1) // 2))
+        cubic = {(a, (lag - a) % d) if a else (lag, 0): two for a in runs}
         cubic[j, j, 0] = minus_one
         gens.append(Poly(d, cubic))
     if m is not None:
@@ -168,8 +171,10 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
     names, lines = _VarNames(), []
     for g, p in enumerate(system.polys):
         d, parts = p.d, []
+        # x_0 ranks last, so only a monomial that holds it needs a remapped key
         for mono, coeff in sorted(
-            p.monomials.items(), key=lambda item: (-len(item[0]), [v or d for v in item[0]])
+            p.monomials.items(),
+            key=lambda item: (-len(m := item[0]), tuple([v or d for v in m]) if 0 in m else m),
         ):
             factors, prev, run = [], None, 0
             for v in mono:  # a run of one index is written as a power

@@ -68,13 +68,21 @@ def _gik_gaps(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
-    """Reduce the overlap and G tables block by block: the largest
-    | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0), its first (j,k)
-    in row-major order, and the largest |G(i,k) - target|."""
+    """Reduce the overlap and G tables block by block over rows 0..floor(d/2):
+    the largest | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0), a
+    pair (j,k) attaining it (the first in row-major order among those rows),
+    and the largest |G(i,k) - target|.
+
+    Those rows decide both maxima.  D_{-j,-k} is D_{j,k}^dagger, so row -j
+    of the moduli is row j with its columns reversed, and G row -i, the
+    inverse transform of that reversed row, is the conjugate of G row i
+    against the same real target.  For even d, row d/2 is its own mirror
+    and is scanned."""
     d = unit.shape[0]
+    n_rows = d // 2 + 1
     maxima, pairs, gik = [], [], []
-    for start in range(0, d, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, d))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
         moduli_sq = np.abs(clock_shift_rows(unit, rows)) ** 2
         dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
         if start == 0:
@@ -91,8 +99,8 @@ def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
 def gik_residual(psi: CVec) -> float:
     """max over all (i,k) of |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|.
 
-    The input is normalized internally.  All d^2 pairs are evaluated, block
-    by block, even though the target has symmetry.
+    The input is normalized internally.  The rows i = 0..floor(d/2) are
+    evaluated, block by block; the others mirror them (see _scan).
     """
     unit, _ = _unit_components(psi)
     return _scan(unit)[2]
@@ -151,7 +159,9 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
 
     tol defaults to 1e-9 * d and must lie in (0, inf).  The decision uses the
     squared-modulus deviations only; the quartic residual is reported
-    alongside.  Both are reduced block by block, so memory stays O(d).
+    alongside.  Both are reduced block by block over the rows
+    0..floor(d/2), which decide them (see _scan), so memory stays O(d);
+    worst_pair is a pair attaining the maximum, from those rows.
     """
     tol = check_tolerance(1e-9 * psi.dim.d if tol is None else tol)
     unit, nrm = _unit_components(psi)

@@ -1,10 +1,12 @@
 """Shared test helpers: published solution vectors, explicit-matrix oracles,
 the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum),
-the Perron counts by enumeration, the nearest clock-shift distance by brute
-force over every shift, the polynomial oracles (a double-precision
-evaluator, the published d = 7 component basis and a reader of the exported
-text) and the byte oracles of the exported texts (one formatted string per
-term or per cell).
+the SIC scan over every row of the tables, the Perron counts by
+enumeration, Lemma 1's deviation read from one Legendre vector per branch,
+the nearest clock-shift distance by brute force over every shift, the
+polynomial oracles (a double-precision evaluator, the published d = 7
+component basis, the X-overlap cubic pairs by a scan over every index and a
+reader of the exported text) and the byte oracles of the exported texts
+(one formatted string per term or per cell).
 
 The catalog vectors are hard-coded from their closed-form components so that
 the package code is checked against independently constructed data.  No
@@ -21,8 +23,17 @@ from itertools import groupby, zip_longest
 
 import numpy as np
 
-from flatsic import CVec, Poly, PolySystem, cvec, make_dimension
-from flatsic.weyl import _LOAD_TOL
+from flatsic import (
+    CVec,
+    Poly,
+    PolySystem,
+    build_legendre_vector,
+    cvec,
+    legendre_symbol,
+    lemma1_closed_form,
+    make_dimension,
+)
+from flatsic.weyl import _LOAD_TOL, autocorrelation, clock_shift_rows
 
 # quadratic residues, computed here by brute squaring (independent of the
 # package's residue machinery)
@@ -172,6 +183,47 @@ def gik_fourier(psi) -> np.ndarray:
     # <Psi|X^i Z^j|Psi> = sum_s conj(psi_{s+i}) omega^{js} psi_s
     overlaps = (np.conj(a[(n[:, None] + n) % d]) * a) @ omega
     return np.abs(overlaps) ** 2 @ omega / d
+
+
+def full_scan(unit: np.ndarray) -> tuple[float, float]:
+    """(max | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0),
+    max |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|) for a unit vector, read
+    from every row of both tables at once: the scan that is_sic and
+    gik_residual ran before they read only rows 0..floor(d/2)."""
+    d = unit.shape[0]
+    moduli_sq = np.abs(clock_shift_rows(unit, np.arange(d))) ** 2
+    dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
+    dev[0, 0] = 0.0
+    target = (np.eye(d)[0][:, None] + np.eye(d)[0][None, :]) / (d + 1.0)
+    return float(dev.max()), float(np.abs(np.fft.ifft(moduli_sq) - target).max())
+
+
+def lemma1_two_vector_route(p: int) -> float:
+    """lemma1_deviation(p) as it was computed from two Legendre vectors:
+    build_legendre_vector once per branch, both v-forms stacked into one
+    autocorrelation, and the closed form taken per branch and residue class."""
+    plus, minus = build_legendre_vector(p, +1), build_legendre_vector(p, -1)
+    phases = np.stack([plus.ansatz.phases, minus.ansatz.phases])
+    v = np.insert(phases, 0, plus.ansatz.sqrt_x0, axis=1)
+    residue = np.array([legendre_symbol(j, p) == 1 for j in range(1, p)])
+    lags = [2 * j % p for j in range(1, p)]
+    closed = [
+        np.where(residue, lemma1_closed_form(p, vec.x1, True), lemma1_closed_form(p, vec.x1, False))
+        for vec in (plus, minus)
+    ]
+    return float(np.max(np.abs(autocorrelation(v)[:, lags] - closed)))
+
+
+def cubic_pairs_by_scan(d: int, j: int) -> dict:
+    """The terms of the X-overlap cubic P_j as build_system keys them, its
+    pairs found by scanning every a = 0..d-1 for b = 2j - a mod d > a."""
+    cubic = {}
+    for a in range(d):
+        b = (2 * j - a) % d
+        if a < b:
+            cubic[(a, b) if a else (b, 0)] = Fraction(2)
+    cubic[j, j, 0] = Fraction(-1)
+    return cubic
 
 
 def perron_enumeration(p: int, a: int) -> list[int]:

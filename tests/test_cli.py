@@ -104,6 +104,24 @@ class TestDimInfo:
 
 
 class TestLegendreVerify:
+    @pytest.mark.parametrize(
+        "d, sign, digest",
+        [
+            ("7", "+", "19b4423ebbb6ea1c637b3cfa4ac30ca22510c37a36f2d2dfd9af88949af4aec5"),
+            ("7", "-", "1392b44a9b6c1abde2406078be3b49830b756b03d54641adac027b66f49c4889"),
+            ("19", "+", "80274f1a90384b36fde25cc85adac93b20164043f703ce7f13fe392e0f4ef630"),
+            ("19", "-", "e41857e011f3debd462ccd2caea7e7f730782a84645a7be94af6c215d5ec8fb0"),
+            ("67", "+", "6a5104ea94ab32416f6c5ac4d351838f7116e40a635b2ca24a64bf15720c4132"),
+            ("67", "-", "c148a6dd1f351a4c3068f31778d37be31589211a67f30faf37a421ec3ffce2aa"),
+        ],
+    )
+    def test_legendre_output_is_pinned(self, capsys, d, sign, digest):
+        # digests of the output when each branch's angles were formed on
+        # their own, before both branches' angle rows came from one site
+        code, out, _ = run(capsys, "legendre", "--d", d, "--sign", sign)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_d67_roundtrip_fails_sic(self, capsys, tmp_path):
         vec_path = str(tmp_path / "vec.json")
         code, out, _ = run(capsys, "legendre", "--d", "67", "--sign", "+", "--out", vec_path)
@@ -323,6 +341,12 @@ class TestPerronLemma:
         pairs = porcelain_dict(out)
         assert float(pairs["max_deviation"]) < 1e-9
         assert pairs["ok"] == "true"
+
+    def test_lemma1_output_is_pinned(self, capsys):
+        # the sweep's output when each prime built two Legendre vectors
+        code, out, _ = run(capsys, "--porcelain", "lemma1", "--pmax", "500")
+        assert code == 0
+        assert out == "pmax=500\nmax_deviation=1.03028696685215e-13\nworst_p=491\nok=true\n"
 
     @pytest.mark.parametrize("pmax", ["2", "-4"])
     @pytest.mark.parametrize("command", ["perron", "lemma1"])

@@ -46,7 +46,7 @@ from flatsic import (
     x_overlap_residual,
 )
 from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
-from flatsic.weyl import clock_shift_rows, overlap_rows
+from flatsic.weyl import autocorrelation, clock_shift_rows, overlap_rows
 
 TOL = 1e-12
 
@@ -142,6 +142,29 @@ def test_row_minus_j_is_row_j_with_columns_reversed(parity, half, j, seed):
     minus, plus = np.abs(clock_shift_rows(psi, [-j, j]))
     reversed_cols = (-np.arange(d)) % d
     assert_allclose(minus[reversed_cols], plus, rtol=0, atol=1e-13 * np.vdot(psi, psi).real)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.one_of(st.integers(1, 300), st.sampled_from([2, 3, 127, 128, 251, 256, 293])),
+    kind=st.sampled_from(["bool", "int", "float"]),
+    rows=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_autocorrelation_equals_the_complex_route(n, kind, rows, seed):
+    # real input takes one zero-padded rfft/irfft pair; the complex route is
+    # one complex transform pair of length n, lengths prime and powers of two
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows == 0 else (rows, n)
+    arr = {
+        "bool": rng.integers(0, 2, shape).astype(bool),
+        "int": rng.integers(-2, 3, shape),
+        "float": rng.uniform(-1.0, 1.0, shape),
+    }[kind]
+    got = autocorrelation(arr)
+    assert got.dtype == np.float64 and got.shape == shape
+    expect = np.fft.ifft(np.abs(np.fft.fft(arr.astype(np.complex128))) ** 2)
+    assert_allclose(got, expect, rtol=0, atol=1e-12 * n)
 
 
 def _orbit_constant(rng, d, m):

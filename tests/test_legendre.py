@@ -14,6 +14,7 @@ from helpers import (
     d7_solution,
     d19_solution,
     d67_solution,
+    lemma1_two_vector_route,
     perron_enumeration,
 )
 from numpy.testing import assert_allclose
@@ -327,6 +328,12 @@ class TestLemma1:
                     closed = np.where(residue, on_residues, lemma1_closed_form(p, vec.x1, False))
                     worst = max(worst, float(np.max(np.abs(row[lags] - closed))))
                 assert lemma1_deviation(p) == worst, p
+
+    def test_deviation_equals_the_two_vector_route(self):
+        # one _vform_array build of both branches' angle rows gives the
+        # v-forms that one build_legendre_vector per branch gave, bit for bit
+        for p in primes_3mod4(500):
+            assert lemma1_deviation(p) == lemma1_two_vector_route(p), p
 
 
 class TestClassify:

@@ -14,6 +14,7 @@ from helpers import (
     D7_BASIS,
     NON_INTEGERS,
     check_d7_component_basis,
+    cubic_pairs_by_scan,
     d7_solution,
     d19_solution,
     d67_solution,
@@ -170,6 +171,15 @@ class TestBuildSystem:
             assert [list(p.terms.items()) for p in got.polys] == [
                 list(p.terms.items()) for p in expect.polys
             ]
+
+    def test_cubic_pairs_equal_the_scan_over_every_index(self):
+        # each cubic enumerates its pairs a < b, a + b = 2j mod d, from the
+        # lag 2j mod d; composite d (9, 15, 21, ...) included
+        for d in range(3, 202, 2):
+            half = (d - 1) // 2
+            cubics = build_system(d).polys[half + 1 : half + d]
+            expect = [cubic_pairs_by_scan(d, j) for j in range(1, d)]
+            assert [p.monomials for p in cubics] == expect, d
 
 
 class TestEvalSystem:

@@ -826,6 +826,7 @@ def test_one_site_for_the_x_overlap_lag_pairing():
     assert readers == [
         ("ansatz", "x_overlap_deviations"),
         ("legendre", "lemma1_deviation"),
+        ("polysys", "build_system"),
         ("search", "_plan"),
     ]
 
@@ -858,6 +859,8 @@ def test_lemma1_reads_both_branches_from_one_autocorrelation():
     ]
     assert [_call_leaf(node) for node in ast.walk(func)].count("autocorrelation") == 1
     assert _loops(func) == []
+    # both v-forms come from one _vform_array build, not from two vector records
+    assert "build_legendre_vector" not in _called_names(func)
 
 
 _REPO = Path(__file__).resolve().parent.parent

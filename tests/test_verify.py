@@ -12,6 +12,7 @@ from helpers import (
     d7_solution,
     d19_solution,
     d67_solution,
+    full_scan,
     gik_fourier,
     gik_quartic,
     normalize_rescaled,
@@ -33,6 +34,7 @@ from flatsic import (
     naive_x_residual,
     overlap_table,
     overlap_table_csv,
+    primes_3mod4,
     to_normalized,
     to_vform,
     z_shift,
@@ -229,6 +231,37 @@ class TestIsSic:
         psi = normalize_rescaled(d67_solution(+1))
         built = to_normalized(build_legendre_vector(67, +1).ansatz)
         assert_allclose(psi.components, built.components, atol=1e-12)
+
+
+class TestHalfRowScan:
+    """is_sic and gik_residual read rows 0..floor(d/2) of both tables;
+    helpers.full_scan reads every row."""
+
+    @staticmethod
+    def _agrees_with_full_scan(vec):
+        report = is_sic(vec)
+        unit = vec.components / np.linalg.norm(vec.components)
+        dev, gik = full_scan(unit)
+        assert abs(report.max_modulus_deviation - dev) <= 1e-15
+        assert abs(report.gik_max_deviation - gik) <= 1e-15
+        assert report.is_sic == (dev <= report.tolerance_used)
+        assert gik_residual(vec) == report.gik_max_deviation
+        # worst_pair attains the maximum, in a scanned row
+        d = vec.d
+        j, k = report.worst_pair
+        assert j <= d // 2
+        moduli_sq = abs(overlap_table(vec).entries[j, k]) ** 2
+        assert abs(abs(moduli_sq - 1.0 / (d + 1.0)) - dev) <= 1e-15
+
+    @pytest.mark.parametrize("p", primes_3mod4(500))
+    def test_legendre_branches(self, p):
+        for sign in (+1, -1):
+            self._agrees_with_full_scan(to_normalized(build_legendre_vector(p, sign).ansatz))
+
+    def test_random_vectors_even_and_odd_d(self):
+        rng = np.random.default_rng(2060)
+        for d in range(2, 61):
+            self._agrees_with_full_scan(random_unit(rng, d))
 
 
 class TestCsv:
