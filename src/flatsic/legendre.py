@@ -37,7 +37,7 @@ from .ansatz import (
     to_normalized,
     x_overlap_residual,
 )
-from .weyl import Dim, _as_dim, _x_lags, autocorrelation, is_prime, make_dimension
+from .weyl import Dim, _as_dim, _check_integer, _x_lags, autocorrelation, is_prime, make_dimension
 
 __all__ = [
     "PerronCounts",
@@ -129,7 +129,7 @@ def legendre_x1(dim: Dim | int, beta_sign: int = +1) -> complex:
     imaginary, beta = +- i sqrt(|radicand|).
     """
     dim = _require_3mod4_prime(dim)
-    if beta_sign not in (+1, -1):
+    if _check_integer(beta_sign, "beta_sign") not in (+1, -1):
         raise ValueError(f"beta_sign must be +1 or -1, got {beta_sign}")
     d = dim.d
     s = math.sqrt(d + 1.0)
@@ -156,7 +156,7 @@ def build_legendre_vector(dim: Dim | int, beta_sign: int = +1) -> LegendreVector
     dim = _require_3mod4_prime(dim)
     x1 = legendre_x1(dim, beta_sign)
     av = build_ansatz(dim, _pattern_angles(dim, [x1])[0])
-    return LegendreVector(dim=dim, x1=x1, beta_sign=beta_sign, ansatz=av)
+    return LegendreVector(dim=dim, x1=x1, beta_sign=int(beta_sign), ansatz=av)
 
 
 def _pattern_angles(dim: Dim, x1s) -> np.ndarray:

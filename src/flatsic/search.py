@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
-from .verify import _naive_x_gaps, check_tolerance
+from .verify import check_tolerance
 from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, _x_lags
 
 __all__ = [
@@ -256,6 +256,15 @@ def _lag_adjoint(fft, ifft, spectrum: np.ndarray, r: np.ndarray) -> np.ndarray:
     fft(w), and fft, ifft is the plan's transform pair."""
     rf = fft(r)
     return ifft((rf + np.conj(rf)) * spectrum)
+
+
+def _naive_x_gaps(c: np.ndarray) -> np.ndarray:
+    """|c_m|^2 - 1/(d+1) at every lag m of an autocorrelation c, lag 0 set
+    to 0; at lag m = -j this is |<Psi|X^j|Psi>|^2 - 1/(d+1).  The lags run
+    along the last axis of c."""
+    gaps = np.abs(c) ** 2 - 1.0 / (c.shape[-1] + 1.0)
+    gaps[..., 0] = 0.0
+    return gaps
 
 
 def _angle_gradient(w: np.ndarray, grad: np.ndarray, half: int) -> np.ndarray:

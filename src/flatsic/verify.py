@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import _unit_components
-from .weyl import CVec, Dim, autocorrelation, clock_shift_rows, overlap_rows
+from .weyl import CVec, Dim, clock_shift_rows, overlap_rows
 
 __all__ = [
     "OverlapTable",
@@ -34,7 +34,7 @@ __all__ = [
     "check_tolerance",
 ]
 
-# Rows per kernel call in _scan, so that its memory stays O(_BLOCK_ROWS * d)
+# Rows per kernel call in is_sic, so that its memory stays O(_BLOCK_ROWS * d)
 # however large d is.
 _BLOCK_ROWS = 64
 
@@ -67,43 +67,13 @@ def _gik_gaps(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - target / (g.shape[1] + 1.0)
 
 
-def _scan(unit: np.ndarray) -> tuple[float, tuple[int, int], float]:
-    """Reduce the overlap and G tables block by block over rows 0..floor(d/2):
-    the largest | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0), a
-    pair (j,k) attaining it (the first in row-major order among those rows),
-    and the largest |G(i,k) - target|.
-
-    Those rows decide both maxima.  D_{-j,-k} is D_{j,k}^dagger, so row -j
-    of the moduli is row j with its columns reversed, and G row -i, the
-    inverse transform of that reversed row, is the conjugate of G row i
-    against the same real target.  For even d, row d/2 is its own mirror
-    and is scanned."""
-    d = unit.shape[0]
-    n_rows = d // 2 + 1
-    maxima, pairs, gik = [], [], []
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
-        moduli_sq = np.abs(clock_shift_rows(unit, rows)) ** 2
-        dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
-        if start == 0:
-            dev[0, 0] = 0.0
-        flat = int(np.argmax(dev))
-        maxima.append(dev.flat[flat])
-        pairs.append((start + flat // d, flat % d))
-        # G rows from the same moduli, as gik_table computes them
-        gik.append(np.abs(_gik_gaps(rows, np.fft.ifft(moduli_sq))).max())
-    worst = int(np.argmax(maxima))
-    return float(maxima[worst]), pairs[worst], float(np.max(gik))
-
-
 def gik_residual(psi: CVec) -> float:
     """max over all (i,k) of |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|.
 
-    The input is normalized internally.  The rows i = 0..floor(d/2) are
-    evaluated, block by block; the others mirror them (see _scan).
+    The input is normalized internally.  This reads is_sic's report, so it
+    costs one scan of rows 0..floor(d/2) (see is_sic).
     """
-    unit, _ = _unit_components(psi)
-    return _scan(unit)[2]
+    return is_sic(psi).gik_max_deviation
 
 
 def gik_table(psi: CVec) -> np.ndarray:
@@ -111,7 +81,7 @@ def gik_table(psi: CVec) -> np.ndarray:
 
     Row i is (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2, the inverse FFT
     of squared clock-shift moduli.  The package computes G(i,k) only here and
-    in _scan.
+    in is_sic.
     """
     unit, _ = _unit_components(psi)
     table = np.fft.ifft(np.abs(clock_shift_rows(unit, np.arange(unit.shape[0]))) ** 2)
@@ -123,19 +93,11 @@ def naive_x_residual(psi: CVec) -> float:
     """max over j = 1..d-1 of | |<Psi|X^j|Psi>|^2 - 1/(d+1) |.
 
     This checks only the moduli of the bare shift overlaps, a strictly weaker
-    condition than the X-overlap equation.
+    condition than the X-overlap equation, and the k = 0 column of the SIC
+    conditions.  It reads is_sic's report, so it costs a scan, as
+    gik_residual does.
     """
-    unit, _ = _unit_components(psi)
-    return float(np.max(np.abs(_naive_x_gaps(autocorrelation(unit)))))
-
-
-def _naive_x_gaps(c: np.ndarray) -> np.ndarray:
-    """|c_m|^2 - 1/(d+1) at every lag m of an autocorrelation c, lag 0 set
-    to 0; at lag m = -j this is |<Psi|X^j|Psi>|^2 - 1/(d+1).  The lags run
-    along the last axis of c."""
-    gaps = np.abs(c) ** 2 - 1.0 / (c.shape[-1] + 1.0)
-    gaps[..., 0] = 0.0
-    return gaps
+    return is_sic(psi).naive_x_deviation
 
 
 @dataclass(frozen=True)
@@ -144,11 +106,15 @@ class SicReport:
 
     The verdict applies to the internally normalized vector; input_norm
     records the norm found before normalization (1.0 for unit input).
+    naive_x_deviation, max over j != 0 of | |<Psi|X^j|Psi>|^2 - 1/(d+1) |, is
+    column k = 0 of max_modulus_deviation's deviations, so it never exceeds
+    that maximum and equals it whenever worst_pair[1] == 0.
     """
 
     max_modulus_deviation: float
     worst_pair: tuple[int, int]
     gik_max_deviation: float
+    naive_x_deviation: float
     is_sic: bool
     tolerance_used: float
     input_norm: float
@@ -158,19 +124,41 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     """Decide the SIC property from the overlap moduli.
 
     tol defaults to 1e-9 * d and must lie in (0, inf).  The decision uses the
-    squared-modulus deviations only; the quartic residual is reported
-    alongside.  Both are reduced block by block over the rows
-    0..floor(d/2), which decide them (see _scan), so memory stays O(d);
-    worst_pair is a pair attaining the maximum, from those rows.
+    squared-modulus deviations only; the quartic and naive-X residuals are
+    reported alongside.  All three are reduced block by block over the rows
+    0..floor(d/2), so memory stays O(d); worst_pair is a pair attaining the
+    maximum, the first in row-major order among those rows.
+
+    Those rows decide every maximum.  D_{-j,-k} is D_{j,k}^dagger, so row -j
+    of the moduli is row j with its columns reversed (in column 0,
+    |c_{-j}| = |c_j|), and G row -i, the inverse transform of that reversed
+    row, is the conjugate of G row i against the same real target.  For
+    even d, row d/2 is its own mirror and is scanned.
     """
     tol = check_tolerance(1e-9 * psi.dim.d if tol is None else tol)
     unit, nrm = _unit_components(psi)
-    worst, pair, gik = _scan(unit)
+    d = unit.shape[0]
+    n_rows = d // 2 + 1
+    maxima, pairs, naive, gik = [], [], [], []
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
+        moduli_sq = np.abs(clock_shift_rows(unit, rows)) ** 2
+        dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
+        if start == 0:
+            dev[0, 0] = 0.0
+        flat = int(np.argmax(dev))
+        maxima.append(dev.flat[flat])
+        pairs.append((start + flat // d, flat % d))
+        naive.append(dev[:, 0].max())
+        # G rows from the same moduli, as gik_table computes them
+        gik.append(np.abs(_gik_gaps(rows, np.fft.ifft(moduli_sq))).max())
+    worst = int(np.argmax(maxima))
     return SicReport(
-        max_modulus_deviation=worst,
-        worst_pair=pair,
-        gik_max_deviation=gik,
-        is_sic=bool(worst <= tol),
+        max_modulus_deviation=float(maxima[worst]),
+        worst_pair=pairs[worst],
+        gik_max_deviation=float(np.max(gik)),
+        naive_x_deviation=float(np.max(naive)),
+        is_sic=bool(maxima[worst] <= tol),
         tolerance_used=tol,
         input_norm=nrm,
     )

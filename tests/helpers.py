@@ -185,17 +185,19 @@ def gik_fourier(psi) -> np.ndarray:
     return np.abs(overlaps) ** 2 @ omega / d
 
 
-def full_scan(unit: np.ndarray) -> tuple[float, float]:
+def full_scan(unit: np.ndarray) -> tuple[float, float, float]:
     """(max | |<Psi|D_{j,k}|Psi>|^2 - 1/(d+1) | over (j,k) != (0,0),
-    max |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|) for a unit vector, read
-    from every row of both tables at once: the scan that is_sic and
-    gik_residual ran before they read only rows 0..floor(d/2)."""
+    max |G(i,k) - (delta_{i,0}+delta_{k,0})/(d+1)|, and the first maximum
+    taken over column k = 0 only) for a unit vector, read from every row of
+    both tables at once: the scan that is_sic and gik_residual ran before
+    they read only rows 0..floor(d/2)."""
     d = unit.shape[0]
     moduli_sq = np.abs(clock_shift_rows(unit, np.arange(d))) ** 2
     dev = np.abs(moduli_sq - 1.0 / (d + 1.0))
     dev[0, 0] = 0.0
     target = (np.eye(d)[0][:, None] + np.eye(d)[0][None, :]) / (d + 1.0)
-    return float(dev.max()), float(np.abs(np.fft.ifft(moduli_sq) - target).max())
+    gik = np.abs(np.fft.ifft(moduli_sq) - target).max()
+    return float(dev.max()), float(gik), float(dev[:, 0].max())
 
 
 def lemma1_two_vector_route(p: int) -> float:

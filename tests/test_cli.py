@@ -178,6 +178,17 @@ class TestLegendreVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    def test_naive_x_residual_prints_the_column_0_sic_residual(self, capsys, tmp_path):
+        # at worst_pair 1,0 both keys print one overlap, so to the last digit
+        vec_path = str(tmp_path / "a5.json")
+        angles = "4.977422664064043,1.6872548652166954"
+        code, _, _ = run(capsys, "ansatz-build", "--d", "5", "--angles", angles, "--out", vec_path)
+        assert code == 0
+        code, out, _ = run(capsys, "--porcelain", "--digits", "17", "verify", vec_path)
+        pairs = porcelain_dict(out)
+        assert (code, pairs["worst_pair"]) == (1, "1,0")
+        assert pairs["naive_x_residual"] == pairs["sic_residual"]
+
     def test_legendre_bad_dimension(self, capsys):
         code, _, err = run(capsys, "legendre", "--d", "13")
         assert code == 2

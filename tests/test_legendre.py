@@ -230,6 +230,16 @@ class TestLegendreX1:
         with pytest.raises(ValueError):
             legendre_x1(7, 2)
 
+    @pytest.mark.parametrize("sign", [True, False, 1.5, None, "+1", math.nan])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(ValueError, match="beta_sign"):
+            build_legendre_vector(7, sign)
+
+    def test_integral_float_sign_is_stored_as_int(self):
+        vec = build_legendre_vector(7, -1.0)
+        assert type(vec.beta_sign) is int and vec.beta_sign == -1
+        assert vec.x1 == build_legendre_vector(7, -1).x1
+
 
 class TestBuildLegendreVector:
     def test_d7_pattern(self):

@@ -417,6 +417,7 @@ _UNCALLED_PUBLIC_NAMES = {
     "legendre.legendre_symbol": "leaves with item 5",
     "legendre.perron_counts": "leaves with item 5",
     "search.objective": "leaves with item 5",
+    "verify.naive_x_residual": "leaves with item 5",
     "weyl.cvec": "user-facing: builds a CVec from any complex sequence",
     "polysys.poly": "user-facing: builds a Poly from dense exponent tuples",
     "ansatz.to_rescaled": "user-facing: converts a vector to the rescaled form",
@@ -427,7 +428,7 @@ _UNCALLED_PUBLIC_NAMES = {
 def test_every_public_name_has_a_caller_or_a_pinned_reason():
     # a ratchet: a public name that loses its last caller either leaves the
     # package or is pinned here with a reason; item 5 is ROADMAP's
-    # benchmark change, whose metric list names the five it lists
+    # benchmark change, whose metric list names the six it lists
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(_PACKAGE.glob("*.py"))
@@ -662,6 +663,36 @@ def test_search_reads_no_spectral_kernel_function():
     # every objective, sic included, transforms through the plan's pair
     source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
     assert _spectral_kernel_references(source) == set()
+
+
+def _defined_functions(source: str) -> set[str]:
+    """Names of the functions the source defines, at any depth."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_defined_functions_sees_every_form():
+    source = (
+        "def f():\n    def g():\n        pass\n"
+        "class C:\n    async def h(self):\n        pass\n"
+    )
+    assert _defined_functions(source) == {"f", "g", "h"}
+    assert _defined_functions("f = lambda: _scan\n_scan(x)\n") == set()
+
+
+def test_verify_scans_the_clock_shift_table_once():
+    # is_sic is the one scan on the verify path: the naive-X residual is
+    # its k = 0 column, not a second autocorrelation
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in _PACKAGE.glob("*.py")}
+    assert "autocorrelation" not in _spectral_kernel_references(sources["verify"])
+    assert "_scan" not in _defined_functions(sources["verify"])
+    owners = [
+        name for name, text in sources.items() if "_naive_x_gaps" in _defined_functions(text)
+    ]
+    assert owners == ["search"]
 
 
 #: The entry-by-entry definitions of weyl that the spectral kernel replaced.

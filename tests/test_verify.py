@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flatsic import (
+    build_ansatz,
     build_legendre_vector,
     cvec,
     gik_residual,
@@ -180,6 +181,27 @@ class TestNaiveX:
         d = 7
         assert naive_x_residual(basis_vector(d, 0)) == pytest.approx(1.0 / (d + 1.0))
 
+    def test_never_exceeds_the_sic_residual(self):
+        # the naive conditions are the k = 0 column of the SIC conditions, so
+        # the naive residual is read from is_sic's deviations, not recomputed
+        rng = np.random.default_rng(2028)
+        column_0 = 0
+        for d in range(2, 61):
+            vecs = [random_unit(rng, d) for _ in range(3)]
+            if d % 2:
+                vecs += [
+                    to_normalized(build_ansatz(d, rng.uniform(0.0, 2.0 * np.pi, (d - 1) // 2)))
+                    for _ in range(10)
+                ]
+            for vec in vecs:
+                report, naive = is_sic(vec), naive_x_residual(vec)
+                assert naive <= report.max_modulus_deviation, d
+                if report.worst_pair[1] == 0:
+                    column_0 += 1
+                    assert naive == report.max_modulus_deviation, d
+                assert naive == report.naive_x_deviation
+        assert column_0 > 0
+
 
 class TestIsSic:
     def test_d7_solutions(self):
@@ -241,9 +263,10 @@ class TestHalfRowScan:
     def _agrees_with_full_scan(vec):
         report = is_sic(vec)
         unit = vec.components / np.linalg.norm(vec.components)
-        dev, gik = full_scan(unit)
+        dev, gik, naive = full_scan(unit)
         assert abs(report.max_modulus_deviation - dev) <= 1e-15
         assert abs(report.gik_max_deviation - gik) <= 1e-15
+        assert abs(report.naive_x_deviation - naive) <= 1e-15
         assert report.is_sic == (dev <= report.tolerance_used)
         assert gik_residual(vec) == report.gik_max_deviation
         # worst_pair attains the maximum, in a scanned row
