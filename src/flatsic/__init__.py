@@ -51,7 +51,6 @@ from .search import (
     OBJECTIVES,
     SearchConfig,
     SearchResult,
-    canonical_match,
     minimize,
     objective,
     objective_and_gradient,
@@ -61,6 +60,7 @@ from .vectorio import VectorFileError, dump_vector, parse_vector_file
 from .verify import (
     OverlapTable,
     SicReport,
+    canonical_match,
     check_tolerance,
     gik_residual,
     gik_table,

@@ -24,6 +24,7 @@ from .weyl import (
     CVec,
     Dim,
     _carray,
+    _check_integer,
     _odd_dim,
     _omega_phase,
     _x_lags,
@@ -179,7 +180,8 @@ def z_shift(psi: CVec, k: int) -> CVec:
     moduli are unchanged.
     """
     d = psi.dim.d
-    return CVec(psi.dim, psi.components * _omega_phase(d, (k % d) * np.arange(d)), psi.form)
+    k = _check_integer(k, "k") % d
+    return CVec(psi.dim, psi.components * _omega_phase(d, k * np.arange(d)), psi.form)
 
 
 def z_overlap_residual(psi: CVec) -> float:
@@ -247,6 +249,7 @@ def displacement_row_identity(psi, j: int) -> IdentityReport:
     """
     arr = _carray(psi)
     d = _odd_dim(arr.shape[0]).d
+    j = _check_integer(j, "j")
     # k = 0 contributes the bare <Psi|X^{-2j}|Psi> term
     lhs = complex(np.sum(overlap_rows(arr, [(-2 * j) % d])))  # reduced first: 2j may exceed int64
     rhs = d * np.conj(arr[(-j) % d]) * arr[j % d]

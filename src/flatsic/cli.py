@@ -27,9 +27,10 @@ from .ansatz import (
     z_overlap_residual,
 )
 from .polysys import build_system, export_system, system_manifest
-from .search import OBJECTIVES, SearchConfig, canonical_match, minimize, search_results_json
+from .search import OBJECTIVES, SearchConfig, minimize, search_results_json
 from .vectorio import dump_vector, parse_vector_file
 from .verify import (
+    canonical_match,
     check_tolerance,
     gik_residual,
     gik_table_csv,

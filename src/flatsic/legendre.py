@@ -59,10 +59,10 @@ __all__ = [
 
 def legendre_symbol(n: int, p: int) -> int:
     """Legendre symbol (n|p) by Euler's criterion with fast modular power."""
-    p = int(p)
+    p = _check_integer(p, "p")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
-    n = int(n) % p
+    n = _check_integer(n, "n") % p
     if n == 0:
         return 0
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
@@ -70,7 +70,7 @@ def legendre_symbol(n: int, p: int) -> int:
 
 def primes_3mod4(limit: int) -> list[int]:
     """All primes p <= limit with p = 3 mod 4, ascending."""
-    return [p for p in range(3, limit + 1, 4) if is_prime(p)]
+    return [p for p in range(3, _check_integer(limit, "limit") + 1, 4) if is_prime(p)]
 
 
 def _require_3mod4_prime(dim: Dim | int) -> Dim:
@@ -114,7 +114,7 @@ def perron_counts(p: Dim | int, a: int) -> PerronCounts:
     record."""
     dim = _require_3mod4_prime(p)
     p = dim.d
-    a = int(a)
+    a = _check_integer(a, "a")
     if math.gcd(a, p) != 1:
         raise ValueError(f"shift must be coprime to p, got a={a}, p={p}")
     return PerronCounts(*perron_table(dim)[a % p - 1].tolist())
@@ -265,6 +265,7 @@ def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int,
     """(p, check(p)) for every prime p <= pmax with p = 3 mod 4, ascending;
     check is a per-prime function such as lemma1_deviation or perron_table.
     Requires pmax >= 3, so that the sweep is not empty."""
+    pmax = _check_integer(pmax, "pmax")
     if pmax < 3:
         raise ValueError(f"sweep needs pmax >= 3 to reach a prime p = 3 mod 4, got pmax={pmax}")
     return [(p, check(make_dimension(p))) for p in primes_3mod4(pmax)]

@@ -40,9 +40,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ansatz import _branch, _one_row, _vform_array, as_normalized, z_shift
+from .ansatz import _branch, _one_row, _vform_array
 from .verify import check_tolerance
-from .weyl import CVec, Dim, _check_integer, _odd_dim, _omega_phase, _x_lags
+from .weyl import Dim, _check_integer, _odd_dim, _omega_phase, _x_lags
 
 __all__ = [
     "OBJECTIVES",
@@ -51,7 +51,6 @@ __all__ = [
     "objective",
     "objective_and_gradient",
     "minimize",
-    "canonical_match",
     "search_results_json",
 ]
 
@@ -499,39 +498,6 @@ class _Pairs:
         diag = 1.0 / self.rinv.diagonal(0, 1, 2)[..., None]
         u = self.rinv.swapaxes(1, 2) @ (diag * v + gamma * (y_mem @ y_v - products[:, m:]))
         return ((gamma * y_v - s_mem.swapaxes(1, 2) @ u)[..., 0]) - self.gamma[:, None] * g
-
-
-def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
-    """True when some clock shift Z^k a lies within tol of b, up to the
-    global phase that brings them nearest; the rule is symmetric in a and b.
-
-    Both are normalized first.  For unit vectors that nearest distance is
-    sqrt(2 - 2 |<b|Z^k|a>|), and one inverse transform of conj(b) a gives
-    <b|Z^k|a> for every k, so only the shifts whose overlap can reach
-    1 - tol^2 / 2 are checked directly: Z^k a against b turned by the phase
-    of <b|Z^k a>, by the Euclidean norm of the difference, which does not
-    cancel even at tol = 1e-10.  tol must satisfy 0 < tol < inf, or a
-    ValueError is raised.
-    """
-    tol = check_tolerance(tol)
-    if a.dim.d != b.dim.d:
-        raise ValueError(f"dimension mismatch: {a.dim.d} vs {b.dim.d}")
-    ua = as_normalized(a)
-    ub = as_normalized(b).components
-    d = a.dim.d
-    _, ifft = _transform_pair(d)
-    overlaps = np.abs(d * ifft(np.conj(ub) * ua.components))  # |<b|Z^k|a>| at k
-    # each overlap sums d products whose moduli total at most 1 (Cauchy-
-    # Schwarz), so the transform rounds it by less than d * eps; the slack
-    # keeps every shift within tol a candidate
-    slack = 4.0 * d * np.finfo(float).eps
-    for k in np.flatnonzero(overlaps >= 1.0 - 0.5 * tol * tol - slack).tolist():
-        za = z_shift(ua, k).components
-        overlap = np.vdot(ub, za)
-        phase = overlap / abs(overlap) if overlap else 1.0  # every phase is nearest at 0
-        if np.linalg.norm(za - phase * ub) < tol:
-            return True
-    return False
 
 
 def search_results_json(config: SearchConfig, results: list[SearchResult]) -> str:

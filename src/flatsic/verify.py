@@ -8,7 +8,8 @@ autocorrelation functional
     G(i,k) = sum_r psi*_{r+i} psi*_{r+k} psi_r psi_{r+i+k}
            = (1/d) sum_j omega^{kj} |<Psi|X^i Z^j|Psi>|^2,
 
-whose SIC target is (delta_{i,0} + delta_{k,0}) / (d+1).
+whose SIC target is (delta_{i,0} + delta_{k,0}) / (d+1).  canonical_match
+decides whether two vectors agree up to a clock shift and a global phase.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import _unit_components
+from .ansatz import _unit_components, as_normalized, z_shift
 from .weyl import CVec, Dim, clock_shift_rows, overlap_rows
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "overlap_table_csv",
     "gik_table_csv",
     "check_tolerance",
+    "canonical_match",
 ]
 
 # Rows per kernel call in is_sic, so that its memory stays O(_BLOCK_ROWS * d)
@@ -171,6 +173,38 @@ def check_tolerance(tol: float, name: str = "tolerance") -> float:
     if not (real and 0.0 < tol < np.inf):  # false for NaN too
         raise ValueError(f"{name} must be positive and finite, got {tol}")
     return float(tol)
+
+
+def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
+    """True when some clock shift Z^k a lies within tol of b, up to the
+    global phase that brings them nearest; the rule is symmetric in a and b.
+
+    Both are normalized first.  For unit vectors that nearest distance is
+    sqrt(2 - 2 |<b|Z^k|a>|), and one inverse transform of conj(b) a gives
+    <b|Z^k|a> for every k, so only the shifts whose overlap can reach
+    1 - tol^2 / 2 are checked directly: Z^k a against b turned by the phase
+    of <b|Z^k a>, by the Euclidean norm of the difference, which does not
+    cancel even at tol = 1e-10.  tol must satisfy 0 < tol < inf, or a
+    ValueError is raised.
+    """
+    tol = check_tolerance(tol)
+    if a.dim.d != b.dim.d:
+        raise ValueError(f"dimension mismatch: {a.dim.d} vs {b.dim.d}")
+    ua = as_normalized(a)
+    ub = as_normalized(b).components
+    d = a.dim.d
+    overlaps = np.abs(d * np.fft.ifft(np.conj(ub) * ua.components))  # |<b|Z^k|a>| at k
+    # each overlap sums d products whose moduli total at most 1 (Cauchy-
+    # Schwarz), so the transform rounds it by less than d * eps; the slack
+    # keeps every shift within tol a candidate
+    slack = 4.0 * d * np.finfo(float).eps
+    for k in np.flatnonzero(overlaps >= 1.0 - 0.5 * tol * tol - slack).tolist():
+        za = z_shift(ua, k).components
+        overlap = np.vdot(ub, za)
+        phase = overlap / abs(overlap) if overlap else 1.0  # every phase is nearest at 0
+        if np.linalg.norm(za - phase * ub) < tol:
+            return True
+    return False
 
 
 def _table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:

@@ -46,7 +46,7 @@ def norm_tolerance(d: int) -> float:
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (desk scale only)."""
-    n = int(n)
+    n = _check_integer(n, "n")
     if n > _PRIMALITY_LIMIT:
         raise ValueError(f"primality test supports n <= {_PRIMALITY_LIMIT}, got {n}")
     if n < 2:
@@ -80,10 +80,10 @@ class Dim:
 
 
 def _check_integer(value, name: str) -> int:
-    """value as an int; a ValueError naming it for a bool or a non-integral
-    value, NaN, an infinity, None and text included."""
+    """value as an int; a ValueError naming it for a bool (numpy's too) or a
+    non-integral value, NaN, an infinity, None and text included."""
     try:
-        integral = not isinstance(value, bool) and int(value) == value
+        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):  # None, non-numeric text, NaN, inf
         integral = False
     if not integral:
@@ -271,8 +271,8 @@ def apply_displacement(psi: CVec, j: int, k: int) -> CVec:
     j = 0 mod d; other j raise VectorFileError.  No package function calls it.
     """
     d = psi.dim.d
-    j %= d
-    k %= d
+    j = _check_integer(j, "j") % d
+    k = _check_integer(k, "k") % d
     phases = _omega_phase(d, k * (np.arange(d) - j))
     out = _tau_phase(d, j * k) * phases * np.roll(psi.components, j)
     return CVec(psi.dim, out, psi.form)

@@ -2,7 +2,8 @@
 the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum),
 the SIC scan over every row of the tables, the Perron counts by
 enumeration, Lemma 1's deviation read from one Legendre vector per branch,
-the nearest clock-shift distance by brute force over every shift, the
+one d = 7 ansatz vector in every form, the nearest clock-shift distance by
+brute force over every shift, the
 polynomial oracles (a double-precision evaluator, the published d = 7
 component basis, the X-overlap cubic pairs by a scan over every index and a
 reader of the exported text) and the byte oracles of the exported texts
@@ -27,11 +28,16 @@ from flatsic import (
     CVec,
     Poly,
     PolySystem,
+    build_ansatz,
     build_legendre_vector,
     cvec,
     legendre_symbol,
     lemma1_closed_form,
     make_dimension,
+    to_normalized,
+    to_rescaled,
+    to_vform,
+    z_shift,
 )
 from flatsic.weyl import _LOAD_TOL, autocorrelation, clock_shift_rows
 
@@ -253,6 +259,22 @@ def small_first_component_pair() -> tuple[CVec, CVec]:
     b = a + 1e-10 * noise / np.linalg.norm(noise)
     return cvec(a), cvec(b / np.linalg.norm(b))
 
+
+def d7_forms() -> tuple[dict[str, CVec], CVec]:
+    """One d = 7 ansatz vector by name in its normalized, v-form and
+    rescaled forms and as Z^3 of the normalized form, every one a clock
+    shift of the others up to phase; and the normalized vector whose first
+    angle is 0.1 larger, which matches none of them."""
+    angles = [0.4, 1.9, 3.1]
+    av = build_ansatz(7, angles)
+    unit = to_normalized(av)
+    forms = {
+        "normalized": unit,
+        "v-form": to_vform(av),
+        "rescaled": to_rescaled(av),
+        "z3": z_shift(unit, 3),
+    }
+    return forms, to_normalized(build_ansatz(7, [angles[0] + 0.1, *angles[1:]]))
 
 def nearest_clock_shift_distance(a: CVec, b: CVec) -> float:
     """min over k and unit c of |Z^k a - c b| for the normalized a and b, by

@@ -15,6 +15,7 @@ from helpers import (
     SUBNORMAL_D7,
     UNDERFLOWING_D7,
     ZERO_D3_RESCALED,
+    d7_forms,
     d7_solution,
     normalize_rescaled,
     perron_enumeration,
@@ -710,6 +711,21 @@ class TestSearchMatch:
         for first, second in (paths, paths[::-1]):
             code, out, _ = run(capsys, "--porcelain", "match", str(first), str(second))
             assert (code, porcelain_dict(out)["match"]) == (0, "true")
+
+    def test_match_across_forms(self, capsys, tmp_path):
+        # files of every form match each other; the moved angle matches
+        # only itself, and each verdict exits 0 or 1
+        forms, moved = d7_forms()
+        paths = {}
+        for name, vec in [*forms.items(), ("moved", moved)]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(dump_vector(vec))
+        for first in paths:
+            for second in paths:
+                matched = (first == "moved") == (second == "moved")
+                argv = ["--porcelain", "match", str(paths[first]), str(paths[second])]
+                code, out, _ = run(capsys, *argv)
+                assert (code, porcelain_dict(out)) == (1 - matched, {"match": str(matched).lower()})
 
 
 class TestErrors:

@@ -15,6 +15,7 @@ import flatsic.cli
 import flatsic.legendre
 import flatsic.polysys
 import flatsic.search
+import flatsic.verify
 
 
 def _private_flatsic_names(source: str) -> list[str]:
@@ -619,10 +620,24 @@ def test_canonical_match_runs_over_no_range_of_shifts():
     # one transform gives every shift's overlap; only candidates are checked
     (func,) = [
         node
-        for node in _search_tree().body
+        for node in ast.parse(Path(flatsic.verify.__file__).read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef) and node.name == "canonical_match"
     ]
     assert "range" not in _called_names(func)
+
+
+def test_matcher_lives_in_verify_and_the_plan_alone_builds_the_transform_pair():
+    # a clock-shift match takes one numpy.fft transform at every d; the DFT
+    # matrix is built only by a search plan, which reuses it
+    assert "canonical_match" not in _defined_names(_search_tree())
+    assert not hasattr(flatsic.search, "canonical_match")
+    assert flatsic.canonical_match is flatsic.verify.canonical_match
+    source = Path(flatsic.search.__file__).read_text(encoding="utf-8")
+
+    def calls_pair(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "_transform_pair"
+
+    assert _top_level_owners(source, calls_pair) == ["_plan"]
 
 
 #: weyl's spectral kernel: the package's own numpy.fft transforms.

@@ -3,12 +3,14 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
     NON_REAL_TOLERANCES,
     basis_vector,
+    d7_forms,
     d7_solution,
     d19_solution,
     d67_solution,
@@ -27,6 +29,7 @@ from numpy.testing import assert_allclose
 from flatsic import (
     build_ansatz,
     build_legendre_vector,
+    canonical_match,
     cvec,
     gik_residual,
     gik_table,
@@ -348,3 +351,34 @@ class TestCsv:
         parts = data.draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n))
         entries = np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
         assert _table_csv(entries, corner, moduli_only) == table_csv(entries, corner, moduli_only)
+
+
+class TestCanonicalMatchCost:
+    def test_a_pair_takes_one_transform_below_the_search_crossover(self):
+        # one numpy.fft transform of d points, not the d x d DFT matrix of a
+        # search plan (about 1.5 MB at d = 199)
+        rng = np.random.default_rng(7)
+        a, b = random_unit(rng, 199), random_unit(rng, 199)
+        canonical_match(a, b)  # numpy.fft's first call at a length sets up its cache
+        tracemalloc.start()
+        try:
+            matched = canonical_match(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not matched
+        assert peak < 64 * 1024
+
+
+class TestMatchAcrossForms:
+    def test_every_form_matches_every_other(self):
+        forms, _ = d7_forms()
+        for a in forms.values():
+            for b in forms.values():
+                assert canonical_match(a, b)
+
+    def test_a_moved_angle_matches_no_form(self):
+        forms, moved = d7_forms()
+        for a in forms.values():
+            assert not canonical_match(a, moved)
+            assert not canonical_match(moved, a)

@@ -12,8 +12,16 @@ from flatsic import (
     build_ansatz,
     build_legendre_vector,
     cvec,
+    displacement_row_identity,
     inner_product,
+    is_prime,
+    legendre_sweep,
+    legendre_symbol,
+    lemma1_deviation,
     make_dimension,
+    perron_counts,
+    primes_3mod4,
+    to_normalized,
     to_rescaled,
     to_vform,
     z_shift,
@@ -69,6 +77,49 @@ class TestIsPrime:
 
         with pytest.raises(ValueError):
             is_prime(10**13)
+
+
+_PSI7 = to_normalized(build_ansatz(7, [0.3, 1.1, 2.0]))
+
+#: Public functions with an integer argument other than a dimension, as
+#: (argument name, a valid value, the call with that argument).
+INTEGER_ARGUMENTS = {
+    "is_prime": ("n", 7, lambda v: is_prime(v)),
+    "legendre_symbol-n": ("n", 2, lambda v: legendre_symbol(v, 7)),
+    "legendre_symbol-p": ("p", 7, lambda v: legendre_symbol(2, v)),
+    "perron_counts": ("a", 2, lambda v: perron_counts(7, v)),
+    "z_shift": ("k", 3, lambda v: z_shift(_PSI7, v)),
+    "displacement_row_identity": ("j", 3, lambda v: displacement_row_identity(_PSI7, v)),
+    "apply_displacement-j": ("j", 2, lambda v: apply_displacement(_PSI7, v, 0)),
+    "apply_displacement-k": ("k", 3, lambda v: apply_displacement(_PSI7, 0, v)),
+    "legendre_sweep": ("pmax", 20, lambda v: legendre_sweep(v, lemma1_deviation)),
+    "primes_3mod4": ("limit", 20, lambda v: primes_3mod4(v)),
+}
+
+
+@pytest.mark.parametrize("bad", [*NON_INTEGERS, np.True_, "7", 20.5])
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_non_integers(call, bad):
+    # int() would read 7.5 as 7 and True as 1, and z_shift by 2.5 would
+    # multiply by omega^{2.5 r}, which is no clock shift; each is refused by name
+    name, _, function = INTEGER_ARGUMENTS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        function(bad)
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+def test_integer_arguments_accept_integral_values(call):
+    _, value, function = INTEGER_ARGUMENTS[call]
+    expected = function(value)
+    for same in (np.int64(value), float(value)):
+        result = function(same)
+        if isinstance(expected, CVec):
+            assert (result.form, result.components.tobytes()) == (
+                expected.form,
+                expected.components.tobytes(),
+            )
+        else:
+            assert result == expected
 
 
 class TestPhaseConstants:
