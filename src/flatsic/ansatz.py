@@ -24,6 +24,7 @@ from .weyl import (
     CVec,
     Dim,
     _carray,
+    _check_bool,
     _check_integer,
     _odd_dim,
     _omega_phase,
@@ -78,11 +79,12 @@ class AnsatzVector:
 def build_ansatz(dim: Dim | int, angles, ghost: bool = False) -> AnsatzVector:
     """Build an ansatz vector from its (d-1)/2 free angles (radians).
 
-    Raises for even d, for a wrong angle count and for a non-finite angle.
-    ghost=True selects the x0 = -2 + sqrt(d+1) branch.
+    Raises for even d, a non-bool ghost, a wrong angle count and a
+    non-finite angle.  ghost=True selects the x0 = -2 + sqrt(d+1) branch.
     """
     dim = _odd_dim(dim)
     d = dim.d
+    ghost = _check_bool(ghost, "ghost")
     x0, sqrt_x0 = _branch(d, ghost)
     ang, w = _vform_array(d, _one_row(angles), sqrt_x0)
     ang = ang[0].copy()

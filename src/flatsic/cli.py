@@ -31,14 +31,13 @@ from .search import OBJECTIVES, SearchConfig, minimize, search_results_json
 from .vectorio import dump_vector, parse_vector_file
 from .verify import (
     canonical_match,
-    check_tolerance,
     gik_residual,
     gik_table_csv,
     is_sic,
     overlap_table,
     overlap_table_csv,
 )
-from .weyl import make_dimension
+from .weyl import check_tolerance, make_dimension
 
 
 class _Reporter:
@@ -76,7 +75,7 @@ def _write_vector(path: str, psi, label: str, rep: _Reporter) -> None:
 
 def _parse_angles(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse angle list {text!r}: {exc}") from exc
 

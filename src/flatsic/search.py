@@ -7,8 +7,9 @@ conditions.  Each comes with its exact gradient in the free angles
 evaluates them from one plan (_plan), which holds every constant that
 depends only on d, among them one pair of length-d transforms (fft, ifft)
 that every objective reads: products with the d x d DFT matrix for
-d <= _DENSE_MAX_D (199), where numpy.fft's fixed cost per call would
-dominate, and numpy.fft above it.
+d <= _DENSE_MAX_D (199) and numpy.fft above it.  The dense product wins
+on batches of 10 rows up to d = 67 but not at 199 (README, "Numerical
+search"); no search runs there.
 
 All restarts of a search advance together.  The plan maps an (R, (d-1)/2)
 array of angles to R values and an (R, (d-1)/2) gradient, and minimize runs
@@ -41,8 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ansatz import _branch, _one_row, _vform_array
-from .verify import check_tolerance
-from .weyl import Dim, _check_integer, _odd_dim, _omega_phase, _x_lags
+from .weyl import Dim, _check_integer, _odd_dim, _omega_phase, _x_lags, check_tolerance
 
 __all__ = [
     "OBJECTIVES",
@@ -217,9 +217,8 @@ def _plan(config: SearchConfig):
 _SIC_TABLE_BYTES = 1 << 16
 
 #: Largest d whose search transforms are products with the d x d DFT matrix.
-#: Below it numpy.fft's fixed cost per call outweighs the d^2 arithmetic of a
-#: matrix product; above it the O(d log d) transform wins (README, "Numerical
-#: search", has the per-evaluation timings this is read from).
+#: It is read from single-point evaluations; on batches of 10 rows numpy.fft
+#: already wins at 199 (README, "Numerical search", has both timings).
 _DENSE_MAX_D = 199
 
 

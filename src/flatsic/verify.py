@@ -14,13 +14,12 @@ decides whether two vectors agree up to a clock shift and a global phase.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import _unit_components, as_normalized, z_shift
-from .weyl import CVec, Dim, clock_shift_rows, overlap_rows
+from .weyl import CVec, Dim, _check_bool, check_tolerance, clock_shift_rows, overlap_rows
 
 __all__ = [
     "OverlapTable",
@@ -32,7 +31,6 @@ __all__ = [
     "naive_x_residual",
     "overlap_table_csv",
     "gik_table_csv",
-    "check_tolerance",
     "canonical_match",
 ]
 
@@ -166,15 +164,6 @@ def is_sic(psi: CVec, tol: float | None = None) -> SicReport:
     )
 
 
-def check_tolerance(tol: float, name: str = "tolerance") -> float:
-    """tol as a float in (0, inf); a ValueError naming it for anything else,
-    a bool, NaN, None, text and a complex value included."""
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and 0.0 < tol < np.inf):  # false for NaN too
-        raise ValueError(f"{name} must be positive and finite, got {tol}")
-    return float(tol)
-
-
 def canonical_match(a: CVec, b: CVec, tol: float = 1e-8) -> bool:
     """True when some clock shift Z^k a lies within tol of b, up to the
     global phase that brings them nearest; the rule is symmetric in a and b.
@@ -213,6 +202,7 @@ def _table_csv(entries: np.ndarray, corner: str, moduli_only: bool) -> str:
     `%` over its floats, quoted as csv.writer quotes them; a modulus is
     Python's abs of its numpy entry, which np.abs over the row can miss in
     the last bit."""
+    moduli_only = _check_bool(moduli_only, "moduli_only")
     n = entries.shape[1]
     row_text = ",".join(["%d"] + ["%.17g" if moduli_only else '"%.17g,%.17g"'] * n) + "\n"
     lines = [",".join([corner, *map(str, range(n))]) + "\n"]

@@ -12,6 +12,7 @@ All operations are pure functions; vectors are immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "norm_tolerance",
     "is_prime",
     "make_dimension",
+    "check_tolerance",
     "cvec",
     "apply_displacement",
     "inner_product",
@@ -89,6 +91,23 @@ def _check_integer(value, name: str) -> int:
     if not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_bool(value, name: str) -> bool:
+    """value as a bool; a ValueError naming it for anything but a bool or
+    numpy's bool, 0, 1, None and text included."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def check_tolerance(tol: float, name: str = "tolerance") -> float:
+    """tol as a float in (0, inf); a ValueError naming it for anything else,
+    a bool, NaN, None, text and a complex value included."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and 0.0 < tol < np.inf):  # false for NaN too
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
+    return float(tol)
 
 
 def _odd_dim(dim: Dim | int) -> Dim:

@@ -220,6 +220,14 @@ class TestAnsatzBuild:
         pairs = porcelain_dict(out)
         assert float(pairs["x_overlap_residual"]) > 0.01
 
+    @pytest.mark.parametrize("angles", [",1,,2,3,", "1,2,3,", ""])
+    def test_empty_angle_fields(self, capsys, angles):
+        # an empty field is a parse error, not an angle to skip
+        code, out, err = run(capsys, "--porcelain", "ansatz-build", "--d", "7", "--angles", angles)
+        assert code == 2
+        assert out == ""
+        assert "cannot parse angle list" in err
+
     def test_wrong_angle_count(self, capsys):
         code, _, err = run(capsys, "ansatz-build", "--d", "7", "--angles", "0.1")
         assert code == 2

@@ -299,6 +299,17 @@ def test_package_exports_exactly_the_module_public_names():
     assert exported == declared
 
 
+def test_package_root_star_imports_each_library_module_once():
+    # each module's __all__ is the one list of its public names
+    tree = ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [
+        (node.level, node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == [(1, module.__name__.split(".")[-1], ["*"]) for module in _LIBRARY]
+
+
 def test_only_ansatz_takes_the_square_root_of_x0():
     callers = [
         path.stem
@@ -506,6 +517,12 @@ def test_only_the_cli_reads_the_file_format_module():
         if "vectorio" in _imported_flatsic_modules(Path(module.__file__).read_text("utf-8"))
     ]
     assert importers == []
+
+
+def test_search_reads_nothing_from_the_verdict_module():
+    # the tolerance validator lives in weyl beside the integer validator
+    imported = _imported_flatsic_modules(Path(flatsic.search.__file__).read_text("utf-8"))
+    assert imported == {"ansatz", "weyl"}
 
 
 def _absolute_imports(source: str) -> set[str]:

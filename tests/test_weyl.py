@@ -1,5 +1,7 @@
 """Operator conventions checked against explicit matrix constructions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from helpers import NON_INTEGERS, basis_vector, displacement_matrix, random_unit
@@ -13,12 +15,15 @@ from flatsic import (
     build_legendre_vector,
     cvec,
     displacement_row_identity,
+    gik_table_csv,
     inner_product,
     is_prime,
     legendre_sweep,
     legendre_symbol,
     lemma1_deviation,
     make_dimension,
+    overlap_table,
+    overlap_table_csv,
     perron_counts,
     primes_3mod4,
     to_normalized,
@@ -26,6 +31,7 @@ from flatsic import (
     to_vform,
     z_shift,
 )
+from flatsic.weyl import check_tolerance
 
 
 class TestMakeDimension:
@@ -120,6 +126,61 @@ def test_integer_arguments_accept_integral_values(call):
             )
         else:
             assert result == expected
+
+
+#: Public functions with a flag argument, as (argument name, the call with
+#: that argument, what of the result a valid flag decides).
+BOOLEAN_ARGUMENTS = {
+    "build_ansatz": (
+        "ghost",
+        lambda v: build_ansatz(7, [1, 2, 3], ghost=v),
+        lambda av: (av.x0, av.phases.tobytes(), type(av.ghost), av.ghost),
+    ),
+    "overlap_table_csv": (
+        "moduli_only",
+        lambda v: overlap_table_csv(overlap_table(_PSI7), moduli_only=v),
+        lambda text: text,
+    ),
+    "gik_table_csv": (
+        "moduli_only",
+        lambda v: gik_table_csv(_PSI7, moduli_only=v),
+        lambda text: text,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["no", 0.5, 0, 1, None])
+@pytest.mark.parametrize("call", BOOLEAN_ARGUMENTS)
+def test_boolean_arguments_reject_non_bools(call, bad):
+    # a truthy string or number once picked the ghost branch or the moduli
+    name, function, _ = BOOLEAN_ARGUMENTS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be a bool"):
+        function(bad)
+
+
+@pytest.mark.parametrize("call", BOOLEAN_ARGUMENTS)
+def test_boolean_arguments_accept_python_and_numpy_bools(call):
+    _, function, decided = BOOLEAN_ARGUMENTS[call]
+    assert decided(function(np.True_)) == decided(function(True))
+    assert decided(function(True)) != decided(function(False))
+    assert decided(function(np.False_)) == decided(function(False))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, None, "1e-9", 1j, float("nan"), float("inf"), -float("inf"), 0, -1]
+)
+def test_check_tolerance_rejects_all_but_positive_finite_reals(bad):
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite"):
+        check_tolerance(bad)
+
+
+@pytest.mark.parametrize(
+    "good, value",
+    [(1e-9, 1e-9), (np.float64(1e-9), 1e-9), (np.float32(0.5), 0.5), (Fraction(1, 10), 0.1), (1, 1.0)],
+)
+def test_check_tolerance_returns_a_float(good, value):
+    result = check_tolerance(good)
+    assert type(result) is float and result == value
 
 
 class TestPhaseConstants:
