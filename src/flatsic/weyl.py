@@ -324,9 +324,20 @@ def autocorrelation(arr) -> np.ndarray:
     if np.iscomplexobj(arr):
         return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
     d = arr.shape[-1]
-    n = 1 << (2 * d - 1).bit_length()  # above 2d - 1, so lag d (index n - d) is empty
-    linear = np.fft.irfft(np.abs(np.fft.rfft(arr, n)) ** 2, n)
+    linear = _linear_autocorrelation(arr)
+    n = linear.shape[-1]
     return linear[..., :d] + linear[..., n - d :]
+
+
+def _linear_autocorrelation(arr) -> np.ndarray:
+    """The linear autocorrelation of each row of a real array, from one
+    rfft/irfft pair at the power of two n above 2d - 1, d the row length:
+    shape (..., n), lag m >= 0 at index m and lag -m at index n - m.  n is
+    above 2d - 1, so lags d and -d are empty, and a row that is zero past
+    some length p <= d has its circular lag-a correlation at indices a and
+    n - (p - a)."""
+    n = 1 << (2 * arr.shape[-1] - 1).bit_length()
+    return np.fft.irfft(np.abs(np.fft.rfft(arr, n)) ** 2, n)
 
 
 def clock_shift_rows(psi, rows) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared test helpers: published solution vectors, explicit-matrix oracles,
 the two G(i,k) table oracles (direct quartic sum, direct clock-shift sum),
 the SIC scan over every row of the tables, the Perron counts by
-enumeration, Lemma 1's deviation read from one Legendre vector per branch,
+enumeration, by Python set counts and by one autocorrelation per prime,
+Lemma 1's deviation read from one Legendre vector per branch,
 one d = 7 ansatz vector in every form, the nearest clock-shift distance by
 brute force over every shift, the
 polynomial oracles (a double-precision evaluator, the published d = 7
@@ -244,6 +245,34 @@ def perron_enumeration(p: int, a: int) -> list[int]:
     moved = rest[(x + a) % p]
     counts = [np.count_nonzero(c & m) for c in (rest, ~rest) for m in (moved, ~moved)]
     return [p, a % p, *map(int, counts)]
+
+
+def perron_rows_by_sets(p: int) -> list[list[int]]:
+    """perron_table(p) as nested lists, each count a size of a Python set:
+    Rest is {x^2 mod p}, which holds 0, and Nichtrest the rest of Z_p."""
+    rest = {x * x % p for x in range(p)}
+    non = set(range(p)) - rest
+    rows = []
+    for a in range(1, p):
+        from_rest = {(x + a) % p for x in rest}
+        from_non = {(x + a) % p for x in non}
+        rows.append(
+            [p, a, len(from_rest & rest), len(from_rest & non), len(from_non & rest), len(from_non & non)]
+        )
+    return rows
+
+
+def perron_table_by_autocorrelation(p: int) -> np.ndarray:
+    """perron_table(p) from one weyl.autocorrelation of p's Rest indicator,
+    rounded, with the Nichtreste counts as class sizes minus Reste counts:
+    the per-prime route the stacked sweep replaced."""
+    rest = np.zeros(p, dtype=bool)
+    rest[np.arange(p) ** 2 % p] = True
+    counts = np.rint(autocorrelation(rest)).astype(np.int64)
+    n_rest, rr = counts[0], counts[1:]
+    return np.column_stack(
+        [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, p - 2 * n_rest + rr]
+    )
 
 
 def small_first_component_pair() -> tuple[CVec, CVec]:

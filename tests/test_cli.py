@@ -5,11 +5,13 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
     SUBNORMAL_D7,
@@ -33,6 +35,7 @@ from flatsic import (
     overlap_table_csv,
     parse_vector_file,
 )
+from flatsic import cli
 from flatsic import legendre as legendre_mod
 from flatsic.cli import main
 
@@ -377,15 +380,16 @@ class TestPerronLemma:
         assert "pmax >= 3" in err
 
     def test_perron_reports_first_broken_shift(self, capsys, monkeypatch):
-        table = legendre_mod.perron_table
+        stacked = legendre_mod._perron_rows
 
-        def broken(dim):
-            rows = table(dim).copy()
-            if dim.d == 11:
-                rows[4, 5] += 1
+        def broken(primes):
+            rows = stacked(primes).copy()
+            p, a = rows[:, 0], rows[:, 1]
+            rows[(p == 11) & (a == 5), 5] += 1
+            rows[(p == 11) & (a == 8), 2] -= 1  # a later broken shift is not reported
             return rows
 
-        monkeypatch.setattr(legendre_mod, "perron_table", broken)
+        monkeypatch.setattr(legendre_mod, "_perron_rows", broken)
         code, out, _ = run(capsys, "--porcelain", "perron", "--pmax", "19")
         assert code == 1
         pairs = porcelain_dict(out)
@@ -393,6 +397,31 @@ class TestPerronLemma:
         assert pairs["p11_counts"] == "3,3,3,3"
         assert pairs["p19_counts"] == "5,5,5,4"
         assert pairs["ok"] == "false"
+        code, out, _ = run(capsys, "perron", "--pmax", "19")
+        assert code == 1
+        lines = out.splitlines()
+        assert "p=  11  counts(rr,nr,rn,nn) at broken shift a=5 = 3,3,3,3" in lines
+        assert "p=   7  counts(rr,nr,rn,nn) over all 6 shifts = 2,2,2,1" in lines
+        assert "p=  19  counts(rr,nr,rn,nn) over all 18 shifts = 5,5,5,4" in lines
+
+    def test_perron_reports_counts_broken_up_or_down(self, capsys, monkeypatch):
+        stacked = legendre_mod._perron_rows
+
+        def broken(primes):
+            rows = stacked(primes).copy()
+            p, a = rows[:, 0], rows[:, 1]
+            rows[(p == 3) & (a == 1), 3] = 7  # above (p+1)/4, at the first shift
+            rows[(p == 7) & (a == 4), 2] = 0  # below it, at an inner shift
+            return rows
+
+        monkeypatch.setattr(legendre_mod, "_perron_rows", broken)
+        code, out, _ = run(capsys, "perron", "--pmax", "11")
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "p=   3  counts(rr,nr,rn,nn) at broken shift a=1 = 1,7,1,0",
+            "p=   7  counts(rr,nr,rn,nn) at broken shift a=4 = 0,2,2,1",
+            "p=  11  counts(rr,nr,rn,nn) over all 10 shifts = 3,3,3,2",
+        ]
 
     def test_perron_outputs_are_pinned(self, capsys, tmp_path):
         # digests of the outputs written from per-shift PerronCounts records
@@ -420,6 +449,61 @@ class TestPerronLemma:
             for a in range(1, p):
                 expected.append(",".join(map(str, perron_enumeration(p, a))))
         assert csv_path.read_text() == "\n".join(expected) + "\n"
+
+
+    def test_perron_memory_is_the_stacked_table(self, capsys):
+        # the per-prime route held every prime's table at once, so the
+        # stacked table is the floor; the report adds no per-row arrays
+        rows = sum(p - 1 for p in legendre_mod.primes_3mod4(8011))
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "--porcelain", "perron", "--pmax", "8011")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.1 * rows * 6 * 8
+
+
+_CSV_EDGE_VALUES = [0, 9, 10, 99, 100, 999, 1000]
+
+
+def _percent_rows(table) -> bytes:
+    return "".join(",".join("%d" % v for v in row) + "\n" for row in table.tolist()).encode()
+
+
+class TestIntRowWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 7)),
+        values=st.lists(
+            st.sampled_from(_CSV_EDGE_VALUES) | st.integers(0, 10**5), min_size=1, max_size=280
+        ),
+        block_bytes=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    @example(shape=(1, 6), values=_CSV_EDGE_VALUES, block_bytes=1)
+    @example(shape=(7, 1), values=_CSV_EDGE_VALUES, block_bytes=1 << 16)
+    @example(shape=(1, 1), values=[0], block_bytes=1)
+    def test_equals_the_percent_format(self, shape, values, block_bytes):
+        size = shape[0] * shape[1]
+        table = np.resize(np.array(values, dtype=np.int64), size).reshape(shape)
+        stream = io.BytesIO()
+        with mock.patch.object(cli, "_CSV_BLOCK_BYTES", block_bytes):
+            cli._write_int_rows(stream, table)
+        assert stream.getvalue() == _percent_rows(table)
+
+    def test_empty_table_writes_nothing(self):
+        stream = io.BytesIO()
+        cli._write_int_rows(stream, np.zeros((0, 6), dtype=np.int64))
+        assert stream.getvalue() == b""
+
+    @pytest.mark.parametrize("bad", [-1, -10, np.iinfo(np.int64).min])
+    def test_negative_value_raises(self, bad):
+        table = np.array([[0, 9, 10], [99, bad, 1000]], dtype=np.int64)
+        stream = io.BytesIO()
+        with pytest.raises(ValueError, match="non-negative"):
+            cli._write_int_rows(stream, table)
+        assert stream.getvalue() == b""
 
 
 class TestPolysys:

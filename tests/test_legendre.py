@@ -16,6 +16,8 @@ from helpers import (
     d67_solution,
     lemma1_two_vector_route,
     perron_enumeration,
+    perron_rows_by_sets,
+    perron_table_by_autocorrelation,
 )
 from numpy.testing import assert_allclose
 
@@ -33,7 +35,8 @@ from flatsic import (
     to_vform,
     x_overlap_residual,
 )
-from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
+from flatsic import legendre as legendre_mod
+from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_sweep, perron_table
 from flatsic.weyl import autocorrelation
 
 
@@ -175,6 +178,81 @@ class TestPerron:
 
     def test_sweep_from_smallest_prime(self):
         assert [p for p, _ in legendre_sweep(3, perron_table)] == [3]
+
+
+def _spectra_bytes(rows: int, width: int) -> int:
+    """Bytes of the rfft spectra of a (rows, width) real block zero-padded
+    to the power of two above 2 width - 1."""
+    n = 1 << (2 * width - 1).bit_length()
+    return 16 * (n // 2 + 1) * rows
+
+
+@pytest.fixture
+def perron_blocks(monkeypatch):
+    """The (rows, width) shape of every block the Perron sweep transforms."""
+    shapes = []
+    transform = legendre_mod._linear_autocorrelation
+
+    def spy(arr):
+        shapes.append(arr.shape)
+        return transform(arr)
+
+    monkeypatch.setattr(legendre_mod, "_linear_autocorrelation", spy)
+    return shapes
+
+
+class TestPerronSweep:
+    # p < 600 crosses every transform length from 8 to 2048, for example
+    # n = 256 -> 512 at p = 127/131 and 512 -> 1024 at p = 251/263
+    PRIMES = primes_3mod4(599)
+
+    @pytest.fixture(scope="class")
+    def by_sets(self):
+        return [row for p in self.PRIMES for row in perron_rows_by_sets(p)]
+
+    def test_primes_cross_every_transform_length(self):
+        lengths = [1 << (2 * p - 1).bit_length() for p in self.PRIMES]
+        assert sorted(set(lengths)) == [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+        for low, high in [(127, 131), (251, 263)]:
+            assert lengths[self.PRIMES.index(high)] == 2 * lengths[self.PRIMES.index(low)]
+
+    @pytest.mark.parametrize("budget", [None, 3 * 16 * 513])
+    def test_stacked_rows_equal_the_per_prime_routes(self, monkeypatch, perron_blocks, by_sets, budget):
+        # 3 * 16 * 513 bytes hold the spectra of three primes at n = 1024, so
+        # several blocks share one transform length
+        if budget is not None:
+            monkeypatch.setattr(legendre_mod, "_PERRON_BLOCK_BYTES", budget)
+        budget = legendre_mod._PERRON_BLOCK_BYTES
+        table = legendre_mod._perron_rows(self.PRIMES)
+        assert table.dtype == np.int64 and table.shape == (len(by_sets), 6)
+        assert table.tolist() == by_sets
+        per_prime = np.concatenate([perron_table_by_autocorrelation(p) for p in self.PRIMES])
+        assert table.tobytes() == per_prime.tobytes()
+        assert sum(rows for rows, _ in perron_blocks) == len(self.PRIMES)
+        for rows, width in perron_blocks:
+            assert rows == 1 or _spectra_bytes(rows, width) <= budget
+        lengths = [1 << (2 * width - 1).bit_length() for _, width in perron_blocks]
+        if budget < 1 << 16:
+            assert lengths.count(1024) > 1 and lengths.count(512) > 1
+
+    def test_sweep_equals_the_per_prime_tables_to_3000(self, perron_blocks):
+        table = perron_sweep(3000)
+        per_prime = [perron_table_by_autocorrelation(p) for p in primes_3mod4(3000)]
+        assert table.tobytes() == np.concatenate(per_prime).tobytes()
+        assert table.tobytes() == np.concatenate([t for _, t in legendre_sweep(3000, perron_table)]).tobytes()
+        for rows, width in perron_blocks:
+            assert rows == 1 or _spectra_bytes(rows, width) <= legendre_mod._PERRON_BLOCK_BYTES
+
+    def test_a_block_holds_one_prime_above_the_budget(self, monkeypatch, perron_blocks):
+        monkeypatch.setattr(legendre_mod, "_PERRON_BLOCK_BYTES", 1)
+        table = perron_sweep(100)
+        assert [rows for rows, _ in perron_blocks] == [1] * len(primes_3mod4(100))
+        assert table.tolist() == [row for p in primes_3mod4(100) for row in perron_rows_by_sets(p)]
+
+    @pytest.mark.parametrize("pmax", [2, 0, -4])
+    def test_empty_sweep_rejected(self, pmax):
+        with pytest.raises(ValueError, match="pmax >= 3"):
+            perron_sweep(pmax)
 
 
 class TestLegendreX1:
