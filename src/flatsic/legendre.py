@@ -328,6 +328,7 @@ def _sweep_primes(pmax: int) -> list[int]:
 
 def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int, object]]:
     """(p, check(p)) for every prime p <= pmax with p = 3 mod 4, ascending;
-    check is a per-prime function such as lemma1_deviation or perron_table.
+    check is a per-prime function such as lemma1_deviation (perron_sweep
+    stacks the Perron tables of a sweep in one array).
     Requires pmax >= 3, so that the sweep is not empty."""
     return [(p, check(make_dimension(p))) for p in _sweep_primes(pmax)]

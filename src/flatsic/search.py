@@ -7,10 +7,11 @@ conditions.  Each comes with its exact gradient in the free angles
 evaluates them from one plan (_plan), which holds every constant that
 depends only on d, among them one pair of length-d transforms (fft, ifft)
 that every objective reads: products with the d x d DFT matrix for
-d <= _DENSE_MAX_D (125) and numpy.fft above it.  On batches of 10 rows,
-the shape minimize evaluates, the dense product wins the xoverlap and sic
-evaluations at d = 67, ties or wins them at 101 and loses both at 127
-(README, "Numerical search").
+d <= _DENSE_MAX_D (199) and numpy.fft above it.  Whole minimize runs at
+d = 127-199 show no one crossover: numpy.fft wins xoverlap and naive_x
+searches of 5 or more restarts, the dense product single-restart ones, and
+sic searches are level or favour the dense product (README, "Numerical
+search").
 
 All restarts of a search advance together.  The plan maps an (R, (d-1)/2)
 array of angles to R values and an (R, (d-1)/2) gradient, and minimize runs
@@ -218,11 +219,12 @@ def _plan(config: SearchConfig):
 _SIC_TABLE_BYTES = 1 << 16
 
 #: Largest d whose search transforms are products with the d x d DFT matrix.
-#: On a 10-row batch numpy.fft first wins both the xoverlap and the sic plan
-#: evaluation at d = 127 (146-156 against 196-216 us, 4.8-5.4 against
-#: 5.1-6.2 ms); at 101 the dense product ties xoverlap and wins sic.
-#: README, "Numerical search", has the table; single rows cross later.
-_DENSE_MAX_D = 125
+#: Whole minimize runs at d = 127-199 keep the dense product level or ahead
+#: for sic and for single-restart searches, while numpy.fft wins xoverlap
+#: and naive_x from 5 restarts on (README, "Numerical search", has the
+#: timings), so no d below 199 favours numpy.fft for every search; no
+#: benchmarked search runs above d = 19.
+_DENSE_MAX_D = 199
 
 
 def _transform_pair(d: int):

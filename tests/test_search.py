@@ -190,17 +190,15 @@ def central_difference(cfg, angles, step=1e-6):
     return grad
 
 
-#: The largest odd d whose plan multiplies by the DFT matrix, and an odd d
-#: whose plan calls numpy.fft, where the gradient and batch tests run that
-#: branch.
+#: The largest odd d whose plan multiplies by the DFT matrix, and the next
+#: odd d, whose plan calls numpy.fft.
 DENSE_D = flatsic.search._DENSE_MAX_D - 1 + flatsic.search._DENSE_MAX_D % 2
-FFT_D = 201
+FFT_D = DENSE_D + 2
 
 
 class TestTransformPair:
     def test_sides_of_the_crossover(self):
-        for d in (DENSE_D + 2, FFT_D):
-            assert flatsic.search._transform_pair(d) == (np.fft.fft, np.fft.ifft)
+        assert flatsic.search._transform_pair(FFT_D) == (np.fft.fft, np.fft.ifft)
         assert flatsic.search._transform_pair(DENSE_D)[0] is not np.fft.fft
 
     @pytest.mark.parametrize("d", [3, 7, DENSE_D, FFT_D])
@@ -324,8 +322,8 @@ class TestBatch:
         assert v1.tobytes() == v2.tobytes() and g1.tobytes() == g2.tobytes()
 
     def test_sic_evaluation_memory_is_bounded(self):
-        # unsliced, 50 rows at d = DENSE_D (125) hold a few 50-table arrays
-        # of about 12.5 MB each at once
+        # unsliced, 50 rows at d = 199 hold a few 50-table arrays of about
+        # 32 MB each at once
         d, rows = DENSE_D, 50
         evaluate = flatsic.search._plan(config(d, obj="sic"))
         angles = np.random.default_rng(5).uniform(0, 2 * np.pi, (rows, (d - 1) // 2))

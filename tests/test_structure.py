@@ -150,24 +150,21 @@ def test_cli_builds_perron_rows_without_astuple():
     assert not {name for name in _called_names(tree) if name.split(".")[-1] == "astuple"}
 
 
-def test_perron_table_counts_without_per_shift_calls():
+def _perron_table_calls() -> set[str]:
+    """Names called by perron_table and perron_sweep and by every legendre
+    function they reach, _perron_rows (which does the counting) among them."""
     tree = ast.parse(Path(flatsic.legendre.__file__).read_text(encoding="utf-8"))
-    (func,) = [
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "perron_table"
-    ]
-    assert "perron_counts" not in _called_names(func)
+    called = _reachable_calls(tree, ["perron_table", "perron_sweep"])
+    assert "_perron_rows" in called
+    return called
+
+
+def test_perron_table_counts_without_per_shift_calls():
+    assert "perron_counts" not in _perron_table_calls()
 
 
 def test_perron_table_builds_no_records():
-    tree = ast.parse(Path(flatsic.legendre.__file__).read_text(encoding="utf-8"))
-    (func,) = [
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "perron_table"
-    ]
-    assert "PerronCounts" not in _called_names(func)
+    assert "PerronCounts" not in _perron_table_calls()
 
 
 def test_polysys_has_no_dense_exponent_helpers():
