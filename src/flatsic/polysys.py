@@ -10,8 +10,9 @@ sqrt(d+1) = -(x_0+2), the cubic generators
     P_j = sum_m x_m x_{2j-m mod d} - (x_0 + 1) x_j^2
         = 2 sum_{a<b, a+b = 2j mod d} x_a x_b - x_0 x_j^2,      j = 1..d-1,
 
-built in that closed form.  A Poly is canonical when it is built: zero terms
-are dropped and every coefficient is stored as an exact Fraction.
+built in that closed form, each coefficient value one Fraction shared by
+every term that carries it.  A Poly is canonical when it is built: zero
+terms are dropped and every coefficient is stored as an exact Fraction.
 
 The polynomialization is a derived identity, so build_system output is
 validated by evaluating the generators at known solution vectors before any
@@ -19,8 +20,9 @@ export is trusted (the tests do exactly that).
 
 Gröbner bases themselves are out of scope: systems are exported for external
 computer-algebra engines, which are the readers of the text; no command reads
-an export back.  export_system writes the text in one pass over the
-generators, byte for byte the same for the same system.
+an export back.  export_system writes the whole system as one array
+program, one sort for the term order and one gather for the text, byte for
+byte the same for the same system.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+
+import numpy as np
 
 from .weyl import Dim, _check_integer, _odd_dim, _x_lags
 
@@ -48,19 +52,25 @@ __all__ = [
 class Poly:
     """Polynomial in x_0..x_{d-1}; monomials maps each monomial to its
     nonzero rational coefficient.  Building a Poly drops zero terms and
-    converts every coefficient to an exact Fraction.  A monomial is the
-    tuple of its variable indices, one entry per power, in the variable
-    order x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
+    converts every coefficient to an exact Fraction, checking type and zero
+    once per distinct coefficient object: a dict whose coefficients are
+    nonzero Fractions is copied as it is, and any other goes through one
+    comprehension over its terms.  A monomial is the tuple of its variable
+    indices, one entry per power, in the variable order
+    x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
     monomial is ()."""
 
     d: int
     monomials: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
-        # the one place a polynomial is made canonical; Fractions are shared
-        clean = {
-            m: c if type(c) is Fraction else Fraction(c) for m, c in self.monomials.items() if c
-        }
+        # the one place a polynomial is made canonical
+        terms = self.monomials
+        coeffs = terms.values()
+        if all(type(c) is Fraction and c for c in dict(zip(map(id, coeffs), coeffs)).values()):
+            clean = dict(terms)
+        else:
+            clean = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c}
         object.__setattr__(self, "monomials", clean)
 
     @property
@@ -116,22 +126,28 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
             raise ValueError(
                 f"symmetry multiplier must be coprime to d, got m={symmetry_multiplier}"
             )
-    gens = [Poly(d, {(j, d - j): 1, (0,): 1}) for j in range(1, (d - 1) // 2 + 1)]
-    gens.append(Poly(d, {(0, 0): 1, (0,): 4, (): 3 - d}))
-    two, minus_one = Fraction(2), Fraction(-1)
+    # one Fraction per value, shared by every term that carries it
+    one, minus_one, two = Fraction(1), Fraction(-1), Fraction(2)
+    gens = [Poly(d, {(j, d - j): one, (0,): one}) for j in range(1, (d - 1) // 2 + 1)]
+    gens.append(Poly(d, {(0, 0): one, (0,): Fraction(4), (): Fraction(3 - d)}))
     for j, lag in enumerate(_x_lags(d).tolist(), start=1):
         # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2: a + b is the lag
-        # 2j mod d (a < lag/2) or that lag plus d (lag < a < (lag+d)/2), so
-        # b = lag - a mod d; the pair (0, lag) is keyed with x_0 last
-        runs = chain(range((lag + 1) // 2), range(lag + 1, (lag + d + 1) // 2))
-        cubic = {(a, (lag - a) % d) if a else (lag, 0): two for a in runs}
+        # 2j mod d (0 < a < lag/2, b = lag - a) or that lag plus d
+        # (lag < a < (lag+d)/2, b = lag + d - a); the pair (0, lag) is keyed
+        # with x_0 last
+        pairs = chain(
+            [(lag, 0)],
+            zip(range(1, (lag + 1) // 2), range(lag - 1, 0, -1)),
+            zip(range(lag + 1, (lag + d + 1) // 2), range(d - 1, 0, -1)),
+        )
+        cubic = dict.fromkeys(pairs, two)
         cubic[j, j, 0] = minus_one
         gens.append(Poly(d, cubic))
     if m is not None:
         for j in range(1, d):
             t = (m * j) % d
             if t != j:
-                gens.append(Poly(d, {(j,): 1, (t,): -1}))
+                gens.append(Poly(d, {(j,): one, (t,): minus_one}))
     return PolySystem(dim=dim, polys=tuple(gens), symmetry_multiplier=m)
 
 
@@ -140,21 +156,18 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
 #
 # Term order: graded lexicographic with variable order x1 > x2 > ... > x0
 # (x_0 last, mirroring the lexicographic order used for the published d=7
-# basis).  Within a monomial the factors print in that same variable order.
-# On index tuples this is: higher degree first, then ascending index tuple
-# with x_0 ranked as d, since within one degree a smaller sorted index tuple
-# is a larger exponent vector.
+# basis).  Within a monomial the factors print in their stored order, which
+# is that same variable order.  On index tuples this is: higher degree
+# first, then ascending index tuple with x_0 ranked as d, since within one
+# degree a smaller sorted index tuple is a larger exponent vector.
 
 def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
 
 
-class _VarNames(dict):
-    """The text "x<v>" of each variable index v, formatted on first use."""
-
-    def __missing__(self, v: int) -> str:
-        self[v] = name = f"x{v}"
-        return name
+#: Bytes of padded text rows that one gather forms: every row is as wide as
+#: the longest text, a coefficient of thousands of digits included.
+_GATHER_BLOCK_BYTES = 1 << 16
 
 
 def export_system(system: PolySystem, format: str = "plain") -> str:
@@ -162,58 +175,146 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
 
     "plain" is one polynomial per line in the deterministic term order;
     "cas-script" wraps the same lines in a generic ring declaration and a
-    lexicographic Gröbner basis request.  Output is byte-stable.  One loop
-    formats every generator: the variable names are made once per call and
-    each term's index runs are counted as it is written.  A coefficient
-    whose integers exceed the interpreter's digit limit for integer text
-    raises ValueError naming its generator and term.
+    lexicographic Gröbner basis request.  Output is byte-stable.
+
+    The whole system is one array program: its monomials are flattened
+    into integer arrays once, every term is ordered by one stable sort of
+    byte-comparable keys (generator, minus the degree, then the indices
+    with x0 ranked as d), and the text is one gather from padded ASCII
+    rows: the names x<v> with and without a leading "*", the powers ^r, the
+    line ends, and four prefixes per distinct coefficient object (in-line
+    or first, with factors or constant), each formatted once.  A
+    coefficient whose integers exceed the interpreter's digit limit for
+    integer text raises ValueError naming its generator and term; a
+    variable index outside 0..d-1 raises ValueError naming its generator.
     """
-    names, lines = _VarNames(), []
-    for g, p in enumerate(system.polys):
-        d, parts = p.d, []
-        # x_0 ranks last, so only a monomial that holds it needs a remapped key
-        for mono, coeff in sorted(
-            p.monomials.items(),
-            key=lambda item: (-len(m := item[0]), tuple([v or d for v in m]) if 0 in m else m),
-        ):
-            factors, prev, run = [], None, 0
-            for v in mono:  # a run of one index is written as a power
-                if v != prev:
-                    if run:
-                        factors.append(f"{names[prev]}^{run}" if run > 1 else names[prev])
-                    prev, run = v, 0
-                run += 1
-            if run:
-                factors.append(f"{names[prev]}^{run}" if run > 1 else names[prev])
-            num, den = coeff.numerator, coeff.denominator
-            try:
-                mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            except ValueError:  # str() refuses an int longer than sys.get_int_max_str_digits()
-                raise ValueError(
-                    f"generator {g}, term {'*'.join(factors) or 'constant'}: the coefficient "
-                    f"has more than {sys.get_int_max_str_digits()} digits, the interpreter's "
-                    "limit for integer text"
-                ) from None
-            if mag != "1" or not factors:
-                factors.insert(0, mag)
-            parts.append(("+ " if num > 0 else "- ") + "*".join(factors))
-        if parts:  # the leading term carries only a minus sign
-            parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        lines.append(" ".join(parts) or "0")
+    if format not in ("plain", "cas-script"):
+        raise ValueError(f"unknown export format {format!r}")
+    lines = _generator_lines(system)
     if format == "plain":
-        return "\n".join(lines) + "\n"
-    if format == "cas-script":
-        variables = ", ".join(f"x{v}" for v in _var_order(system.dim.d))
-        out = [
-            "# polynomial system over the rationals",
-            f"# variables in lexicographic order: {variables}",
-            f"ring Q[{variables}]",
-            "ideal:",
-        ]
-        out += ["  " + ln for ln in lines]
-        out += ["task: groebner_basis", "order: lexicographic"]
-        return "\n".join(out) + "\n"
-    raise ValueError(f"unknown export format {format!r}")
+        return lines or "\n"  # no generators: one empty line
+    variables = ", ".join(f"x{v}" for v in _var_order(system.dim.d))
+    out = [
+        "# polynomial system over the rationals",
+        f"# variables in lexicographic order: {variables}",
+        f"ring Q[{variables}]",
+        "ideal:",
+    ]
+    out += ["  " + ln for ln in lines.splitlines()]
+    out += ["task: groebner_basis", "order: lexicographic"]
+    return "\n".join(out) + "\n"
+
+
+def _generator_lines(system: PolySystem) -> str:
+    """Every generator's line, each ending in a newline."""
+    d, maps = system.dim.d, [p.monomials for p in system.polys]
+    coeffs = list(chain.from_iterable(m.values() for m in maps))
+    first_use, coef_row = np.unique(
+        np.fromiter(map(id, coeffs), np.intp, len(coeffs)), return_index=True, return_inverse=True
+    )[1:]
+    distinct = [coeffs[i] for i in first_use.tolist()]
+    counts = np.fromiter(map(len, maps), np.intp, len(maps))
+    lens = np.fromiter(map(len, chain.from_iterable(maps)), np.intp, len(coeffs))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp, int(lens.sum()))
+    gen = np.repeat(np.arange(len(maps)), counts)
+    if flat.size and not 0 <= flat.min() <= flat.max() < d:
+        e = int(np.flatnonzero((flat < 0) | (flat >= d))[0])
+        g = gen[np.searchsorted(np.cumsum(lens), e, side="right")]
+        raise ValueError(f"generator {g}: variable index {flat[e]} is not in 0..{d - 1}")
+    gen, lens, flat, coef_row = _term_order(d, gen, lens, flat, coef_row)
+
+    # lookup rows: x<v>, *x<v>, the empty row, the two line ends,
+    # ^2..^degree, then four prefixes per distinct coefficient object
+    texts = [f"x{v}" for v in range(d)] + [f"*x{v}" for v in range(d)] + ["", "\n", "0\n"]
+    texts += [f"^{r}" for r in range(2, int(lens.max(initial=0)) + 1)]
+    ids = _piece_rows(d, len(texts), counts, lens, gen, flat, coef_row)
+    unwritable = []
+    for u, c in enumerate(distinct):
+        num, den = c.numerator, c.denominator
+        try:
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        except ValueError:  # str() refuses an int longer than sys.get_int_max_str_digits()
+            unwritable.append(u)
+            continue
+        factor = "" if mag == "1" else mag + "*"
+        sign, sep = ("", " + ") if num > 0 else ("-", " - ")
+        texts += [sep + factor, sep + mag, sign + factor, sign + mag]
+    if unwritable:
+        t = int(np.isin(coef_row, unwritable).argmax())  # the first such term written
+        head = int(lens[:t].sum()) + t + int(gen[t])
+        factors = "".join(texts[k] for k in ids[head + 1 : head + 1 + lens[t]])
+        raise ValueError(
+            f"generator {gen[t]}, term {factors or 'constant'}: the coefficient has more "
+            f"than {sys.get_int_max_str_digits()} digits, the interpreter's limit for integer text"
+        )
+    return _gather(texts, ids)
+
+
+def _term_order(d: int, gen, lens, flat, coef_row):
+    """gen, lens, flat and coef_row with the terms in output order.
+
+    One stable sort of one row per term: generator, minus the degree, then
+    the indices with x0 ranked as d, in big-endian unsigned columns, whose
+    bytes compare as the integers they hold.  The zero pads after a
+    monomial are reached only between equal monomials, which one generator
+    does not hold."""
+    degree = int(lens.max(initial=0))
+    column = np.dtype(np.min_scalar_type(max(gen.max(initial=0), degree, d)))
+    key = np.zeros((len(lens), degree + 2), column.newbyteorder(">"))
+    key[:, 0], key[:, 1] = gen, degree - lens
+    key[:, 2:][np.arange(degree) < lens[:, None]] = np.where(flat == 0, d, flat)
+    order = key.view(f"V{key.itemsize * key.shape[1]}").ravel().argsort(kind="stable")
+    lens, key = lens[order], key.take(order, axis=0)
+    flat = key[:, 2:][np.arange(degree) < lens[:, None]].astype(np.intp) % d
+    return gen[order], lens, flat, coef_row[order]
+
+
+def _piece_rows(d: int, base: int, counts, lens, gen, flat, coef_row):
+    """The lookup row of every piece of the text, in output order: per term
+    its coefficient prefix, then one piece per index entry; per generator
+    its line end.
+
+    A coefficient's four prefixes start at row base + 4 * coef_row: in-line
+    or leading its line, each with factors or constant.  An entry that
+    begins a run of one index holds the name ("*x<v>", or "x<v>" first in
+    its term), the last entry of a run of r > 1 holds "^r", and any other
+    entry holds the empty row."""
+    offset = np.concatenate(([0], np.cumsum(lens)))  # each term's first entry
+    first = np.zeros(flat.size + 1, bool)
+    first[offset] = True
+    rows = flat + d
+    rows[first[:-1]] -= d
+    again = np.flatnonzero((flat[1:] == flat[:-1]) & ~first[1:-1]) + 1  # repeats the entry before
+    last = np.flatnonzero(np.diff(again, append=flat.size + 1) != 1)  # each power's last entry
+    rows[again] = 2 * d
+    rows[again[last]] = 2 * d + 2 + np.diff(last, prepend=-1)
+    upto = np.cumsum(counts)
+    head = offset[:-1] + np.arange(len(lens)) + gen
+    line_end = offset[upto] + upto + np.arange(len(counts))
+    ids = np.empty(flat.size + len(lens) + len(counts), np.intp)
+    entry = np.ones(ids.size, bool)
+    entry[head] = entry[line_end] = False
+    ids[entry] = rows
+    ids[line_end] = 2 * d + 1 + (counts == 0)
+    lead = np.ones(len(lens), bool)
+    lead[1:] = gen[1:] != gen[:-1]
+    ids[head] = base + 4 * coef_row + 2 * lead + (lens == 0)
+    return ids
+
+
+def _gather(texts: list[str], ids) -> str:
+    """The texts at ids, joined: each block of ids is one gather from a
+    lookup table of the texts as zero-padded ASCII rows, the pad bytes
+    dropped."""
+    width = max(map(len, texts))
+    lookup = np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"), np.uint8)
+    lookup = lookup.reshape(len(texts), width)
+    step = max(1, _GATHER_BLOCK_BYTES // width)
+    blocks = []
+    for s in range(0, len(ids), step):
+        text = lookup.take(ids[s : s + step], axis=0).ravel()
+        blocks.append(str(text[text != 0], "ascii"))
+    return "".join(blocks)
 
 
 def system_manifest(system: PolySystem, text: str) -> dict:

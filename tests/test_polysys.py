@@ -347,6 +347,29 @@ class TestExport:
         with pytest.raises(ValueError):
             export_system(build_system(7), format="latex")
 
+    def test_unknown_format_is_refused_before_rendering(self):
+        # an over-limit coefficient would raise the digit-limit error if
+        # the generators were rendered first
+        system = PolySystem(dim=make_dimension(7), polys=(Poly(7, {(1,): 10**5000}),))
+        with pytest.raises(ValueError, match="unknown export format 'bogus'"):
+            export_system(system, format="bogus")
+
+    def test_empty_system_is_one_empty_line(self):
+        system = PolySystem(dim=make_dimension(7), polys=())
+        assert export_system(system) == "\n"
+        assert export_system(system, format="cas-script").splitlines()[3:] == [
+            "ideal:",
+            "task: groebner_basis",
+            "order: lexicographic",
+        ]
+
+    @pytest.mark.parametrize("index", [7, -1])
+    def test_export_refuses_a_variable_index_outside_the_dimension(self, index):
+        polys = (Poly(7, {(1,): 1}), Poly(7, {(2,): 1, (3, index): 1}))
+        expected = re.escape(f"generator 1: variable index {index} is not in 0..6")
+        with pytest.raises(ValueError, match=expected):
+            export_system(PolySystem(dim=make_dimension(7), polys=polys))
+
     def test_parse_poly_cases(self):
         p = parse_poly("-x3^2*x0 + 2*x1*x5", 7)
         assert p == poly(7, {mono(7, 3, 3, 0): -1, mono(7, 1, 5): 2})
@@ -387,6 +410,27 @@ class TestExport:
     def test_parse_system_infers_d_from_ascii_digits(self):
         with pytest.raises(ValueError, match=re.escape(repr("x\u0669"))):
             parse_system("x1 + x\u0669")
+
+    def test_poly_checks_each_coefficient_object_like_the_per_term_comprehension(self):
+        class Ratio(Fraction):
+            pass
+
+        zero, half = Fraction(0), Fraction(1, 2)
+        cases = [
+            {(1,): zero, (2,): half, (3,): zero},  # one zero object, shared
+            {(1,): half, (2,): half, (2, 0): half},  # one nonzero object, shared
+            {(1,): 1, (2,): -2, (): 0},
+            {(1,): 0.5, (2,): -0.25, (3,): 0.0},
+            {(1,): Ratio(1, 3), (2,): half, (3,): Ratio(0)},
+        ]
+        for terms in cases:
+            expect = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c}
+            p = Poly(7, terms)
+            assert list(p.monomials.items()) == list(expect.items())
+            assert [type(c) for c in p.monomials.values()] == [Fraction] * len(expect)
+            assert p.monomials is not terms
+        shared = Poly(7, cases[1])
+        assert all(c is half for c in shared.monomials.values())
 
     def test_poly_drops_zero_terms_and_stores_fractions(self):
         p = Poly(7, {(1,): 0, (2,): 1})
@@ -462,6 +506,30 @@ def sparse_polys(draw, d=None):
     return Poly(d, draw(st.dictionaries(monos, coeffs, max_size=6)))
 
 
+@st.composite
+def wide_systems(draw):
+    """A system at d up to 130, so names run to three digits, with powers
+    up to 12, constant-only and zero-term generators and leading negative
+    terms.  Equal coefficients are distinct objects (each integer draw makes
+    a new Fraction), and one Fraction object is shared by every generator."""
+    d = draw(st.integers(2, 130))
+    shared = draw(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool))
+    powers = st.dictionaries(st.integers(0, d - 1), st.integers(1, 12), max_size=3)
+    monos = st.one_of(
+        st.just(()),
+        powers.map(
+            lambda pw: tuple(v for v in sorted(pw, key=lambda v: v or d) for _ in range(pw[v]))
+        ),
+    )
+    coeffs = st.one_of(
+        st.just(shared),
+        st.integers(-3, 3).map(Fraction),
+        st.fractions(min_value=-200, max_value=200, max_denominator=120),
+    )
+    gens = st.dictionaries(monos, coeffs, max_size=8).map(lambda terms: Poly(d, terms))
+    return PolySystem(dim=make_dimension(d), polys=tuple(draw(st.lists(gens, min_size=1, max_size=5))))
+
+
 class TestParseProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(line=st.text(alphabet="x0123456789^*/+- \u0661", max_size=30), d=st.integers(2, 12))
@@ -489,6 +557,16 @@ class TestParseProperties:
         assert export_system(system) == "".join(poly_line(q) + "\n" for q in polys)
         script = export_system(system, format="cas-script").splitlines()
         assert script[4:-2] == ["  " + poly_line(q) for q in polys]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(system=wide_systems())
+    def test_export_of_wide_systems_matches_term_by_term_oracle(self, system):
+        # the lookup rows: three-digit names, two-digit powers, constant and
+        # empty lines, and prefixes of shared and of equal coefficients
+        lines = [poly_line(q) for q in system.polys]
+        assert export_system(system) == "".join(line + "\n" for line in lines)
+        script = export_system(system, format="cas-script").splitlines()
+        assert script[4:-2] == ["  " + line for line in lines]
 
 
 class TestManifest:

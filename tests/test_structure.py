@@ -172,6 +172,15 @@ def test_polysys_has_no_dense_exponent_helpers():
     assert not {"_mono", "_in_var_order", "_term_key"} & _defined_names(tree)
 
 
+def test_export_system_orders_terms_at_one_site():
+    # the term order is one argsort of byte-comparable keys over the whole
+    # system; a sorted() anywhere export_system reaches would be a second
+    tree = ast.parse(Path(flatsic.polysys.__file__).read_text(encoding="utf-8"))
+    called = _reachable_calls(tree, ["export_system"])
+    assert {"_generator_lines", "_term_order"} <= called
+    assert "sorted" not in called
+
+
 #: What the search objectives must not build per evaluation: each wraps the
 #: v-form array in a frozen record or a validated, copied vector.
 _VECTOR_WRAPPERS = {"build_ansatz", "to_vform", "to_normalized", "CVec"}
