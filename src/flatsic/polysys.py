@@ -21,8 +21,9 @@ export is trusted (the tests do exactly that).
 Gröbner bases themselves are out of scope: systems are exported for external
 computer-algebra engines, which are the readers of the text; no command reads
 an export back.  export_system writes the whole system as one array
-program, one sort for the term order and one gather for the text, byte for
-byte the same for the same system.
+program, one sort per degree for the term order and one join of
+precomputed pieces for the text, byte for byte the same for the same
+system.
 """
 
 from __future__ import annotations
@@ -52,25 +53,19 @@ __all__ = [
 class Poly:
     """Polynomial in x_0..x_{d-1}; monomials maps each monomial to its
     nonzero rational coefficient.  Building a Poly drops zero terms and
-    converts every coefficient to an exact Fraction, checking type and zero
-    once per distinct coefficient object: a dict whose coefficients are
-    nonzero Fractions is copied as it is, and any other goes through one
-    comprehension over its terms.  A monomial is the tuple of its variable
-    indices, one entry per power, in the variable order
-    x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
+    converts every coefficient to an exact Fraction.  A monomial is the
+    tuple of its variable indices, one entry per power, in the variable
+    order x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
     monomial is ()."""
 
     d: int
     monomials: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
-        # the one place a polynomial is made canonical
-        terms = self.monomials
-        coeffs = terms.values()
-        if all(type(c) is Fraction and c for c in dict(zip(map(id, coeffs), coeffs)).values()):
-            clean = dict(terms)
-        else:
-            clean = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c}
+        # the one place a polynomial is made canonical; Fractions are shared
+        clean = {
+            m: c if type(c) is Fraction else Fraction(c) for m, c in self.monomials.items() if c
+        }
         object.__setattr__(self, "monomials", clean)
 
     @property
@@ -165,11 +160,6 @@ def _var_order(d: int) -> list[int]:
     return list(range(1, d)) + [0]
 
 
-#: Bytes of padded text rows that one gather forms: every row is as wide as
-#: the longest text, a coefficient of thousands of digits included.
-_GATHER_BLOCK_BYTES = 1 << 16
-
-
 def export_system(system: PolySystem, format: str = "plain") -> str:
     """Render a system as text.
 
@@ -178,12 +168,14 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
     lexicographic Gröbner basis request.  Output is byte-stable.
 
     The whole system is one array program: its monomials are flattened
-    into integer arrays once, every term is ordered by one stable sort of
-    byte-comparable keys (generator, minus the degree, then the indices
-    with x0 ranked as d), and the text is one gather from padded ASCII
-    rows: the names x<v> with and without a leading "*", the powers ^r, the
-    line ends, and four prefixes per distinct coefficient object (in-line
-    or first, with factors or constant), each formatted once.  A
+    into integer arrays once, the terms of each degree are ordered by one
+    stable sort of byte-comparable keys (generator, then the indices with
+    x0 ranked as d) and a stable sort by generator merges the degrees, and
+    the text is one join of precomputed pieces: the names x<v> with and
+    without a leading "*", the powers ^r, the line ends, and four prefixes
+    per distinct coefficient object (in-line or first, with factors or
+    constant), each formatted once.  Memory follows the size of the
+    system and of its text.  A
     coefficient whose integers exceed the interpreter's digit limit for
     integer text raises ValueError naming its generator and term; a
     variable index outside 0..d-1 raises ValueError naming its generator.
@@ -223,7 +215,7 @@ def _generator_lines(system: PolySystem) -> str:
         raise ValueError(f"generator {g}: variable index {flat[e]} is not in 0..{d - 1}")
     gen, lens, flat, coef_row = _term_order(d, gen, lens, flat, coef_row)
 
-    # lookup rows: x<v>, *x<v>, the empty row, the two line ends,
+    # pieces of text: x<v>, *x<v>, the empty piece, the two line ends,
     # ^2..^degree, then four prefixes per distinct coefficient object
     texts = [f"x{v}" for v in range(d)] + [f"*x{v}" for v in range(d)] + ["", "\n", "0\n"]
     texts += [f"^{r}" for r in range(2, int(lens.max(initial=0)) + 1)]
@@ -247,38 +239,45 @@ def _generator_lines(system: PolySystem) -> str:
             f"generator {gen[t]}, term {factors or 'constant'}: the coefficient has more "
             f"than {sys.get_int_max_str_digits()} digits, the interpreter's limit for integer text"
         )
-    return _gather(texts, ids)
+    return "".join(np.array(texts, object).take(ids).tolist())
 
 
 def _term_order(d: int, gen, lens, flat, coef_row):
     """gen, lens, flat and coef_row with the terms in output order.
 
-    One stable sort of one row per term: generator, minus the degree, then
-    the indices with x0 ranked as d, in big-endian unsigned columns, whose
-    bytes compare as the integers they hold.  The zero pads after a
-    monomial are reached only between equal monomials, which one generator
-    does not hold."""
-    degree = int(lens.max(initial=0))
-    column = np.dtype(np.min_scalar_type(max(gen.max(initial=0), degree, d)))
-    key = np.zeros((len(lens), degree + 2), column.newbyteorder(">"))
-    key[:, 0], key[:, 1] = gen, degree - lens
-    key[:, 2:][np.arange(degree) < lens[:, None]] = np.where(flat == 0, d, flat)
-    order = key.view(f"V{key.itemsize * key.shape[1]}").ravel().argsort(kind="stable")
-    lens, key = lens[order], key.take(order, axis=0)
-    flat = key[:, 2:][np.arange(degree) < lens[:, None]].astype(np.intp) % d
-    return gen[order], lens, flat, coef_row[order]
+    The terms of each degree are ordered by one stable sort of one row per
+    term: generator, then the indices with x0 ranked as d, in big-endian
+    unsigned columns, whose bytes compare as the integers they hold.  Every
+    row is as long as its own term, so the keys take memory in proportion
+    to the system.  The degrees are taken from the highest down and a
+    stable sort by generator makes the order generator, degree, indices."""
+    offset = np.concatenate(([0], np.cumsum(lens)))
+    ranked = np.where(flat == 0, d, flat)
+    column = np.dtype(np.min_scalar_type(max(gen.max(initial=0), d))).newbyteorder(">")
+    order = [np.empty(0, np.intp)]
+    for degree in np.unique(lens)[::-1].tolist():
+        terms = np.flatnonzero(lens == degree)
+        key = np.empty((terms.size, degree + 1), column)
+        key[:, 0] = gen[terms]
+        key[:, 1:] = ranked[offset[terms, None] + np.arange(degree)]
+        order.append(terms[key.view(f"V{key.itemsize * (degree + 1)}").ravel().argsort(kind="stable")])
+    order = np.concatenate(order)
+    order = order[gen[order].argsort(kind="stable")]
+    lens = lens[order]
+    moved = np.repeat(offset[order] - (np.cumsum(lens) - lens), lens)  # old entry minus new
+    return gen[order], lens, flat[moved + np.arange(flat.size)], coef_row[order]
 
 
 def _piece_rows(d: int, base: int, counts, lens, gen, flat, coef_row):
-    """The lookup row of every piece of the text, in output order: per term
-    its coefficient prefix, then one piece per index entry; per generator
-    its line end.
+    """The index of every piece of the text, in output order: per term its
+    coefficient prefix, then one piece per index entry; per generator its
+    line end.
 
-    A coefficient's four prefixes start at row base + 4 * coef_row: in-line
-    or leading its line, each with factors or constant.  An entry that
-    begins a run of one index holds the name ("*x<v>", or "x<v>" first in
-    its term), the last entry of a run of r > 1 holds "^r", and any other
-    entry holds the empty row."""
+    A coefficient's four prefixes start at index base + 4 * coef_row:
+    in-line or leading its line, each with factors or constant.  An entry
+    that begins a run of one index holds the name ("*x<v>", or "x<v>" first
+    in its term), the last entry of a run of r > 1 holds "^r", and any other
+    entry holds the empty piece."""
     offset = np.concatenate(([0], np.cumsum(lens)))  # each term's first entry
     first = np.zeros(flat.size + 1, bool)
     first[offset] = True
@@ -300,21 +299,6 @@ def _piece_rows(d: int, base: int, counts, lens, gen, flat, coef_row):
     lead[1:] = gen[1:] != gen[:-1]
     ids[head] = base + 4 * coef_row + 2 * lead + (lens == 0)
     return ids
-
-
-def _gather(texts: list[str], ids) -> str:
-    """The texts at ids, joined: each block of ids is one gather from a
-    lookup table of the texts as zero-padded ASCII rows, the pad bytes
-    dropped."""
-    width = max(map(len, texts))
-    lookup = np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"), np.uint8)
-    lookup = lookup.reshape(len(texts), width)
-    step = max(1, _GATHER_BLOCK_BYTES // width)
-    blocks = []
-    for s in range(0, len(ids), step):
-        text = lookup.take(ids[s : s + step], axis=0).ravel()
-        blocks.append(str(text[text != 0], "ascii"))
-    return "".join(blocks)
 
 
 def system_manifest(system: PolySystem, text: str) -> dict:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -411,7 +412,7 @@ class TestExport:
         with pytest.raises(ValueError, match=re.escape(repr("x\u0669"))):
             parse_system("x1 + x\u0669")
 
-    def test_poly_checks_each_coefficient_object_like_the_per_term_comprehension(self):
+    def test_poly_canonicalises_like_the_per_term_comprehension(self):
         class Ratio(Fraction):
             pass
 
@@ -461,6 +462,24 @@ class TestExport:
         # the way back in enforces the same limit, naming the coefficient
         with pytest.raises(ValueError, match=re.escape(repr("1" * 5000))):
             parse_poly("1" * 5000 + "*x1", 7)
+
+    def test_export_memory_follows_the_text_not_its_longest_piece(self):
+        # 4,000 distinct small coefficients beside one of 4,000 digits on a
+        # term of degree 4,000: no table may be as wide as the longest
+        # coefficient or the highest degree for every term
+        d = 131
+        mons = [(a, b) for a in range(1, d) for b in range(a, d)][:4000]
+        polys = [Poly(d, {m: Fraction(k + 2, 3) for k, m in enumerate(mons[g::4])}) for g in range(4)]
+        polys.append(Poly(d, {(1,) * 4000: Fraction(10**3999 + 1), (2,): Fraction(1)}))
+        system = PolySystem(dim=make_dimension(d), polys=tuple(polys))
+        tracemalloc.start()
+        try:
+            text = export_system(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.endswith(f"{10**3999 + 1}*x1^4000 + x2\n")
+        assert peak < 200 * len(text)  # 48 here; padded rows took 2,560
 
     @pytest.mark.parametrize("line", ["1/0*x1", "x1 + 3/0", "-x2*5/0*x0"])
     def test_parse_poly_zero_denominator(self, line):
