@@ -255,7 +255,7 @@ def _term_order(d: int, gen, lens, flat, coef_row):
     ranked = np.where(flat == 0, d, flat)
     column = np.dtype(np.min_scalar_type(max(gen.max(initial=0), d))).newbyteorder(">")
     order = [np.empty(0, np.intp)]
-    for degree in np.unique(lens)[::-1].tolist():
+    for degree in np.flatnonzero(np.bincount(lens))[::-1].tolist():
         terms = np.flatnonzero(lens == degree)
         key = np.empty((terms.size, degree + 1), column)
         key[:, 0] = gen[terms]
