@@ -253,14 +253,11 @@ def _write_int_rows(stream, table) -> None:
 
 def _cmd_lemma1(args, rep: _Reporter) -> int:
     check_tolerance(args.tol)
-    worst = 0.0
-    worst_p = None
-    for p, dev in legendre_mod.legendre_sweep(args.pmax, legendre_mod.lemma1_deviation):
-        if dev > worst:
-            worst, worst_p = dev, p
+    sweep = legendre_mod.lemma1_sweep(args.pmax)
+    p, worst = sweep[np.argmax(sweep[:, 1])].tolist()  # the first row attaining it
     rep.kv("pmax", args.pmax)
     rep.kv("max_deviation", rep.num(worst))
-    rep.kv("worst_p", worst_p if worst_p is not None else "none")
+    rep.kv("worst_p", int(p) if worst > 0.0 else "none")
     rep.kv("ok", str(worst <= args.tol).lower())
     return 0 if worst <= args.tol else 1
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +39,12 @@ from .ansatz import (
 from .weyl import (
     Dim,
     _as_dim,
+    _check_bool,
     _check_integer,
     _linear_autocorrelation,
     _x_lags,
     autocorrelation,
     is_prime,
-    make_dimension,
 )
 
 __all__ = [
@@ -63,7 +62,7 @@ __all__ = [
     "lemma1_deviation",
     "perron_table",
     "perron_sweep",
-    "legendre_sweep",
+    "lemma1_sweep",
 ]
 
 
@@ -188,11 +187,13 @@ def lemma1_closed_form(dim: Dim | int, x1: complex, j_is_residue: bool) -> compl
         (d-3)/2 - (d-3)/(4 z^2) - (d+1)/4 z^2 + 2 sqrt(x0)/z,
 
     taken at z = x1 for a residue j when d = 3 mod 8 and at z = -1/x1 for a
-    non-residue; d = 7 mod 8 exchanges the two classes.
+    non-residue; d = 7 mod 8 exchanges the two classes.  j_is_residue must
+    be a bool (numpy's too).
     """
     dim = _require_3mod4_prime(dim)
     d = dim.d
-    z = complex(x1) if j_is_residue == (dim.mod8 == 3) else -1.0 / complex(x1)
+    residue = _check_bool(j_is_residue, "j_is_residue")
+    z = complex(x1) if residue == (dim.mod8 == 3) else -1.0 / complex(x1)
     _, sx0 = _branch(d, ghost=False)
     return complex(
         (d - 3) / 2.0
@@ -314,7 +315,7 @@ def _perron_rows(primes) -> np.ndarray:
 def perron_sweep(pmax: int) -> np.ndarray:
     """perron_table of every prime p <= pmax with p = 3 mod 4, stacked in
     ascending p: shape (sum(p - 1), 6), the primes in column 0.  Requires
-    pmax >= 3, as legendre_sweep does."""
+    pmax >= 3, as lemma1_sweep does."""
     return _perron_rows(_sweep_primes(pmax))
 
 
@@ -326,9 +327,9 @@ def _sweep_primes(pmax: int) -> list[int]:
     return primes_3mod4(pmax)
 
 
-def legendre_sweep(pmax: int, check: Callable[[Dim], object]) -> list[tuple[int, object]]:
-    """(p, check(p)) for every prime p <= pmax with p = 3 mod 4, ascending;
-    check is a per-prime function such as lemma1_deviation (perron_sweep
-    stacks the Perron tables of a sweep in one array).
-    Requires pmax >= 3, so that the sweep is not empty."""
-    return [(p, check(make_dimension(p))) for p in _sweep_primes(pmax)]
+def lemma1_sweep(pmax: int) -> np.ndarray:
+    """lemma1_deviation of every prime p <= pmax with p = 3 mod 4, in
+    ascending p: one float64 array of shape (n, 2), the primes in column 0
+    and their deviations in column 1.  Requires pmax >= 3, as perron_sweep
+    does."""
+    return np.array([(p, lemma1_deviation(p)) for p in _sweep_primes(pmax)], dtype=np.float64)

@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .weyl import Dim, _check_integer, _odd_dim, _x_lags
+from .weyl import Dim, _check_integer, _odd_dim, _x_lags, make_dimension
 
 __all__ = [
     "Poly",
@@ -82,7 +82,9 @@ class Poly:
 
 
 def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
-    """Build a Poly from dense exponent tuples of length d."""
+    """Build a Poly from dense exponent tuples of length d; d is read as
+    make_dimension reads a dimension."""
+    d = make_dimension(d).d
     order = _var_order(d)
     monomials = {}
     for exps, coeff in terms.items():

@@ -10,8 +10,8 @@ that every objective reads: products with the d x d DFT matrix for
 d <= _DENSE_MAX_D (199) and numpy.fft above it.  Whole minimize runs at
 d = 127-199 show no one crossover: numpy.fft wins xoverlap and naive_x
 searches of 5 or more restarts, the dense product single-restart ones, and
-sic searches are level or favour the dense product (README, "Numerical
-search").
+sic searches are level or favour the dense product (CHANGES.md, "Timings
+moved out of the README").
 
 All restarts of a search advance together.  The plan maps an (R, (d-1)/2)
 array of angles to R values and an (R, (d-1)/2) gradient, and minimize runs
@@ -31,8 +31,8 @@ when it stops:
 Every operation acts on each row alone, the same way whatever the batch
 holds, so a restart's result is bit-identical however many restarts run
 beside it.  Each restart draws its starting point from a generator seeded by
-(seed, restart_index).  README, "Numerical search", has the timings per
-minimize call and per step.
+(seed, restart_index).  CHANGES.md, "Timings moved out of the README", has
+the timings per minimize call and per step.
 """
 
 from __future__ import annotations
@@ -221,9 +221,9 @@ _SIC_TABLE_BYTES = 1 << 16
 #: Largest d whose search transforms are products with the d x d DFT matrix.
 #: Whole minimize runs at d = 127-199 keep the dense product level or ahead
 #: for sic and for single-restart searches, while numpy.fft wins xoverlap
-#: and naive_x from 5 restarts on (README, "Numerical search", has the
-#: timings), so no d below 199 favours numpy.fft for every search; no
-#: benchmarked search runs above d = 19.
+#: and naive_x from 5 restarts on (CHANGES.md, "Timings moved out of the
+#: README", has them), so no d below 199 favours numpy.fft for every
+#: search; no benchmarked search runs above d = 19.
 _DENSE_MAX_D = 199
 
 

@@ -37,10 +37,12 @@ def parse_vector_file(text: str) -> CVec:
         raise VectorFileError("components must be a list of [re, im] pairs")
     values = []
     for i, pair in enumerate(comps):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        # the JSON decoder yields exact ints and floats, never a bool subclass
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) in (int, float)
+            and type(pair[1]) in (int, float)
         ):
             raise VectorFileError(f"component {i} is not a [re, im] number pair")
         try:
@@ -55,7 +57,7 @@ def dump_vector(vec: CVec, label: str | None = None, source: str | None = None) 
     obj: dict = {
         "d": vec.dim.d,
         "form": vec.form,
-        "components": [[float(z.real), float(z.imag)] for z in vec.components],
+        "components": vec.components.view(np.float64).reshape(-1, 2).tolist(),
     }
     metadata = {}
     if label is not None:

@@ -312,21 +312,10 @@ def inner_product(phi: CVec, psi: CVec) -> complex:
 def autocorrelation(arr) -> np.ndarray:
     """Circular correlation c[m] = sum_k conj(arr_k) arr_{k+m} for all lags m,
     so that <Psi|X^{-m}|Psi> is c[m].  The lags run along the last axis, and
-    each row of a stacked array is correlated alone.
-
-    Complex input goes through one complex transform pair of its own length
-    d.  Real input (bool, integer or float) goes through one rfft/irfft pair
-    at the power of two n above 2d - 1 and comes back real: the zero padding
-    makes that pair's result the linear correlation, whose lags m and m - d
-    add up to the circular lag m.
+    each row of a stacked array is correlated alone.  One complex transform
+    pair of the row length serves any input, and the result is complex.
     """
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
-    d = arr.shape[-1]
-    linear = _linear_autocorrelation(arr)
-    n = linear.shape[-1]
-    return linear[..., :d] + linear[..., n - d :]
+    return np.fft.ifft(np.abs(np.fft.fft(arr)) ** 2)
 
 
 def _linear_autocorrelation(arr) -> np.ndarray:

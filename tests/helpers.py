@@ -264,11 +264,11 @@ def perron_rows_by_sets(p: int) -> list[list[int]]:
 
 def perron_table_by_autocorrelation(p: int) -> np.ndarray:
     """perron_table(p) from one weyl.autocorrelation of p's Rest indicator,
-    rounded, with the Nichtreste counts as class sizes minus Reste counts:
-    the per-prime route the stacked sweep replaced."""
+    its real part rounded, with the Nichtreste counts as class sizes minus
+    Reste counts: the per-prime route the stacked sweep replaced."""
     rest = np.zeros(p, dtype=bool)
     rest[np.arange(p) ** 2 % p] = True
-    counts = np.rint(autocorrelation(rest)).astype(np.int64)
+    counts = np.rint(autocorrelation(rest).real).astype(np.int64)
     n_rest, rr = counts[0], counts[1:]
     return np.column_stack(
         [np.full(p - 1, p), np.arange(1, p), rr, n_rest - rr, n_rest - rr, p - 2 * n_rest + rr]

@@ -371,6 +371,17 @@ class TestPerronLemma:
         assert code == 0
         assert out == "pmax=500\nmax_deviation=1.03028696685215e-13\nworst_p=491\nok=true\n"
 
+    @pytest.mark.parametrize(
+        "deviations, worst", [({}, "none"), ({11: 2e-10, 19: 2e-10, 23: 1e-10}, "11")]
+    )
+    def test_lemma1_reports_the_first_worst_prime(self, capsys, monkeypatch, deviations, worst):
+        # worst_p is the first prime attaining the largest deviation, none when all are 0
+        monkeypatch.setattr(legendre_mod, "lemma1_deviation", lambda p: deviations.get(p, 0.0))
+        code, out, _ = run(capsys, "--porcelain", "lemma1", "--pmax", "23")
+        assert code == 0
+        max_deviation = "0" if worst == "none" else "2e-10"
+        assert out == f"pmax=23\nmax_deviation={max_deviation}\nworst_p={worst}\nok=true\n"
+
     @pytest.mark.parametrize("pmax", ["2", "-4"])
     @pytest.mark.parametrize("command", ["perron", "lemma1"])
     def test_empty_sweep_exits_2(self, capsys, command, pmax):

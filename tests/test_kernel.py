@@ -45,7 +45,7 @@ from flatsic import (
     x_overlap_deviations,
     x_overlap_residual,
 )
-from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_table
+from flatsic.legendre import lemma1_sweep, perron_sweep, perron_table
 from flatsic.weyl import autocorrelation, clock_shift_rows, overlap_rows
 
 TOL = 1e-12
@@ -144,27 +144,31 @@ def test_row_minus_j_is_row_j_with_columns_reversed(parity, half, j, seed):
     assert_allclose(minus[reversed_cols], plus, rtol=0, atol=1e-13 * np.vdot(psi, psi).real)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.one_of(st.integers(1, 300), st.sampled_from([2, 3, 127, 128, 251, 256, 293])),
-    kind=st.sampled_from(["bool", "int", "float"]),
-    rows=st.integers(0, 2),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_real_autocorrelation_equals_the_complex_route(n, kind, rows, seed):
-    # real input takes one zero-padded rfft/irfft pair; the complex route is
-    # one complex transform pair of length n, lengths prime and powers of two
-    rng = np.random.default_rng(seed)
-    shape = (n,) if rows == 0 else (rows, n)
+@pytest.mark.parametrize("kind", ["bool", "int", "float", "complex"])
+@pytest.mark.parametrize("shape", [(7,), (2, 8)])
+def test_autocorrelation_takes_one_complex_transform_pair(monkeypatch, kind, shape):
+    calls = []
+
+    def spy(name):
+        transform = getattr(np.fft, name)
+        return lambda *args, **kwargs: calls.append(name) or transform(*args, **kwargs)
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, spy(name))
+    rng = np.random.default_rng(5)
     arr = {
         "bool": rng.integers(0, 2, shape).astype(bool),
         "int": rng.integers(-2, 3, shape),
         "float": rng.uniform(-1.0, 1.0, shape),
+        "complex": random_complex(rng, shape),
     }[kind]
     got = autocorrelation(arr)
-    assert got.dtype == np.float64 and got.shape == shape
-    expect = np.fft.ifft(np.abs(np.fft.fft(arr.astype(np.complex128))) ** 2)
-    assert_allclose(got, expect, rtol=0, atol=1e-12 * n)
+    assert calls == ["fft", "ifft"]
+    assert got.dtype == np.complex128 and got.shape == shape
+    d = shape[-1]
+    rows = np.reshape(arr, (-1, d)).astype(np.complex128)
+    expect = [[np.vdot(row, np.roll(row, -m)) for m in range(d)] for row in rows]
+    assert_allclose(got.reshape(-1, d), expect, rtol=0, atol=1e-12 * d)
 
 
 def _orbit_constant(rng, d, m):
@@ -286,7 +290,8 @@ def test_d499_legendre_is_sic_check(sign):
 
 
 def test_lemma1_deviation_matches_roll_loop():
-    for p, got in legendre_sweep(43, lemma1_deviation):
+    for p, got in lemma1_sweep(43).tolist():
+        p = int(p)
         expect = 0.0
         for sign in (+1, -1):
             vec = build_legendre_vector(p, sign)
@@ -299,7 +304,8 @@ def test_lemma1_deviation_matches_roll_loop():
 
 
 def test_perron_sweep_covers_every_shift():
-    sweep = legendre_sweep(23, perron_table)
-    assert [p for p, _ in sweep] == [3, 7, 11, 19, 23]
-    for p, table in sweep:
+    primes = [3, 7, 11, 19, 23]
+    tables = [perron_table(p) for p in primes]
+    for p, table in zip(primes, tables):
         assert table.tolist() == [perron_enumeration(p, a) for a in range(1, p)]
+    assert perron_sweep(23).tobytes() == np.concatenate(tables).tobytes()

@@ -36,7 +36,7 @@ from flatsic import (
     x_overlap_residual,
 )
 from flatsic import legendre as legendre_mod
-from flatsic.legendre import legendre_sweep, lemma1_deviation, perron_sweep, perron_table
+from flatsic.legendre import lemma1_deviation, lemma1_sweep, perron_sweep, perron_table
 from flatsic.weyl import autocorrelation
 
 
@@ -173,11 +173,21 @@ class TestPerron:
     @pytest.mark.parametrize("pmax", [2, 0, -4])
     @pytest.mark.parametrize("check", [perron_table, lemma1_deviation])
     def test_empty_sweep_rejected(self, pmax, check):
+        # the sweep of each per-prime quantity
+        sweep = {perron_table: perron_sweep, lemma1_deviation: lemma1_sweep}[check]
         with pytest.raises(ValueError, match="pmax >= 3"):
-            legendre_sweep(pmax, check)
+            sweep(pmax)
 
     def test_sweep_from_smallest_prime(self):
-        assert [p for p, _ in legendre_sweep(3, perron_table)] == [3]
+        assert lemma1_sweep(3)[:, 0].tolist() == [3.0]
+        assert perron_sweep(3).tolist() == perron_table(3).tolist()
+
+    def test_lemma1_sweep_stacks_each_prime_deviation(self):
+        sweep = lemma1_sweep(500)
+        primes = primes_3mod4(500)
+        assert sweep.dtype == np.float64 and sweep.shape == (len(primes), 2)
+        assert sweep[:, 0].tolist() == primes
+        assert sweep[:, 1].tobytes() == np.array([lemma1_deviation(p) for p in primes]).tobytes()
 
 
 def _spectra_bytes(rows: int, width: int) -> int:
@@ -239,7 +249,7 @@ class TestPerronSweep:
         table = perron_sweep(3000)
         per_prime = [perron_table_by_autocorrelation(p) for p in primes_3mod4(3000)]
         assert table.tobytes() == np.concatenate(per_prime).tobytes()
-        assert table.tobytes() == np.concatenate([t for _, t in legendre_sweep(3000, perron_table)]).tobytes()
+        assert table.tobytes() == np.concatenate([perron_table(p) for p in primes_3mod4(3000)]).tobytes()
         for rows, width in perron_blocks:
             assert rows == 1 or _spectra_bytes(rows, width) <= legendre_mod._PERRON_BLOCK_BYTES
 

@@ -163,6 +163,16 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="nonnegative"):
             poly(3, {(1, 0): 1})
 
+    @pytest.mark.parametrize("bad", [*NON_INTEGERS, 1, 0, -3])
+    def test_poly_reads_d_as_a_dimension(self, bad):
+        with pytest.raises(ValueError, match="^dimension must be"):
+            poly(bad, {})
+
+    def test_poly_takes_an_integral_d_as_an_int(self):
+        for same in (7.0, np.int64(7)):
+            p = poly(same, {mono(7, 0): 1})
+            assert type(p.d) is int and p == poly(7, {mono(7, 0): 1})
+
     @pytest.mark.parametrize("d, m", [(3, 2), (5, 2), (7, 3), (19, 4), (45, 7), (67, 29)])
     def test_matches_fraction_loop(self, d, m):
         for multiplier in (None, m):

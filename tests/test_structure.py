@@ -354,6 +354,7 @@ def test_second_paths_stay_removed():
         "parse_system",
         "_VAR_RE",
         "_FACTOR_RE",
+        "legendre_sweep",
     }
     for namespace in (flatsic, *_LIBRARY):
         assert not removed & set(vars(namespace)), namespace.__name__

@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from flatsic import (
     dump_vector,
     gik_residual,
     is_sic,
+    make_dimension,
     naive_x_residual,
     parse_vector_file,
     to_rescaled,
@@ -152,6 +154,18 @@ class TestRoundTrip:
             back = parse_vector_file(dump_vector(vec))
             assert back.form == vec.form
             assert_allclose(back.components, vec.components, rtol=0, atol=0)
+
+    def test_dump_equals_the_per_component_route(self):
+        # no form admits +-1e308, so a stand-in carries the components; the
+        # signed zero, the subnormal and the extremes keep their exact digits
+        comps = np.array([complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-1e308, -0.0)])
+        vec = types.SimpleNamespace(dim=make_dimension(3), form="normalized", components=comps)
+        per_component = [[float(z.real), float(z.imag)] for z in comps]
+        expect = json.dumps({"d": 3, "form": "normalized", "components": per_component})
+        assert dump_vector(vec) == expect
+        psi = normalize_rescaled(d7_solution(+1))
+        per_component = [[float(z.real), float(z.imag)] for z in psi.components]
+        assert json.loads(dump_vector(psi))["components"] == per_component
 
     def test_metadata_optional(self):
         psi = normalize_rescaled(d7_solution(+1))

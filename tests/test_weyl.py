@@ -18,13 +18,14 @@ from flatsic import (
     gik_table_csv,
     inner_product,
     is_prime,
-    legendre_sweep,
     legendre_symbol,
-    lemma1_deviation,
+    lemma1_closed_form,
+    lemma1_sweep,
     make_dimension,
     overlap_table,
     overlap_table_csv,
     perron_counts,
+    perron_sweep,
     primes_3mod4,
     to_normalized,
     to_rescaled,
@@ -98,7 +99,8 @@ INTEGER_ARGUMENTS = {
     "displacement_row_identity": ("j", 3, lambda v: displacement_row_identity(_PSI7, v)),
     "apply_displacement-j": ("j", 2, lambda v: apply_displacement(_PSI7, v, 0)),
     "apply_displacement-k": ("k", 3, lambda v: apply_displacement(_PSI7, 0, v)),
-    "legendre_sweep": ("pmax", 20, lambda v: legendre_sweep(v, lemma1_deviation)),
+    # both Legendre sweeps, lemma1 and Perron, read pmax at one site
+    "legendre_sweep": ("pmax", 20, lambda v: (lemma1_sweep(v).tobytes(), perron_sweep(v).tobytes())),
     "primes_3mod4": ("limit", 20, lambda v: primes_3mod4(v)),
 }
 
@@ -145,6 +147,11 @@ BOOLEAN_ARGUMENTS = {
         "moduli_only",
         lambda v: gik_table_csv(_PSI7, moduli_only=v),
         lambda text: text,
+    ),
+    "lemma1_closed_form": (
+        "j_is_residue",
+        lambda v: lemma1_closed_form(7, np.exp(0.4j), v),
+        lambda value: value,
     ),
 }
 
