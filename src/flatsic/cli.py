@@ -267,12 +267,12 @@ def _cmd_polysys(args, rep: _Reporter) -> int:
         raise ValueError("polysys --porcelain needs --export: generator lines are not key=value")
     system = build_system(args.d, args.symmetry)
     text = export_system(system, args.format)
+    manifest = system_manifest(system, text)
     rep.kv("d", system.dim.d)
     rep.kv("symmetry_multiplier", system.symmetry_multiplier or "none")
-    rep.kv("num_generators", len(system.polys))
+    rep.kv("num_generators", manifest["num_generators"])
     if args.export:
         Path(args.export).write_text(text, encoding="utf-8")
-        manifest = system_manifest(system, text)
         manifest_path = args.export + ".manifest.json"
         Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         rep.kv("sha256", manifest["sha256"])

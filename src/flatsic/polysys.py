@@ -10,9 +10,13 @@ sqrt(d+1) = -(x_0+2), the cubic generators
     P_j = sum_m x_m x_{2j-m mod d} - (x_0 + 1) x_j^2
         = 2 sum_{a<b, a+b = 2j mod d} x_a x_b - x_0 x_j^2,      j = 1..d-1,
 
-built in that closed form, each coefficient value one Fraction shared by
-every term that carries it.  A Poly is canonical when it is built: zero
-terms are dropped and every coefficient is stored as an exact Fraction.
+written in that closed form straight into the system's term arrays: per
+generator its term count, per term its length and the id of its
+coefficient, every term's variable indices in one array, and one Fraction
+per coefficient id, shared by every term that carries it.  A system is
+those arrays; its Polys are built from them on first read.  A Poly is
+canonical when it is built: its monomials are checked, zero terms are
+dropped and every coefficient is stored as an exact Fraction.
 
 The polynomialization is a derived identity, so build_system output is
 validated by evaluating the generators at known solution vectors before any
@@ -55,17 +59,24 @@ class Poly:
     nonzero rational coefficient.  Building a Poly drops zero terms and
     converts every coefficient to an exact Fraction.  A monomial is the
     tuple of its variable indices, one entry per power, in the variable
-    order x_1 < ... < x_{d-1} < x_0: x_0 x_j^2 is (j, j, 0) and the constant
-    monomial is ()."""
+    order x_1 <= ... <= x_{d-1} <= x_0: x_0 x_j^2 is (j, j, 0) and the
+    constant monomial is ().  Any other monomial raises ValueError."""
 
     d: int
     monomials: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
         # the one place a polynomial is made canonical; Fractions are shared
-        clean = {
-            m: c if type(c) is Fraction else Fraction(c) for m, c in self.monomials.items() if c
-        }
+        d, clean = self.d, {}
+        for mono, c in self.monomials.items():
+            ranks = [v or d for v in mono if type(v) is int and 0 <= v < d]  # x0 ranks last
+            if len(ranks) < len(mono) or ranks != sorted(ranks):
+                raise ValueError(
+                    f"monomial {mono!r} is not ints in 0..{d - 1} in the variable order "
+                    f"x1 <= ... <= x{d - 1} <= x0"
+                )
+            if c:
+                clean[mono] = c if type(c) is Fraction else Fraction(c)
         object.__setattr__(self, "monomials", clean)
 
     @property
@@ -83,12 +94,12 @@ class Poly:
 
 def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
     """Build a Poly from dense exponent tuples of length d; d is read as
-    make_dimension reads a dimension."""
+    make_dimension reads a dimension, each exponent as an integer."""
     d = make_dimension(d).d
     order = _var_order(d)
     monomials = {}
     for exps, coeff in terms.items():
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(_check_integer(e, "exponent") for e in exps)
         if len(exps) != d or min(exps, default=0) < 0:
             raise ValueError(f"exponent vector {exps} is not {d} nonnegative integers")
         monomials[tuple(v for v in order for _ in range(exps[v]))] = coeff
@@ -98,11 +109,54 @@ def poly(d: int, terms: dict[tuple[int, ...], Fraction | int]) -> Poly:
 @dataclass(frozen=True)
 class PolySystem:
     """A generator list over Q[x_0..x_{d-1}], optionally with a permutation
-    symmetry multiplier m (adding x_j - x_{mj mod d})."""
+    symmetry multiplier m (adding x_j - x_{mj mod d}).
+
+    A system is its term arrays: per generator its term count, per term its
+    length and coefficient id, every term's variable indices (x_0 last) in
+    one array, and one Fraction per coefficient id.  build_system writes
+    only the arrays, and polys is built from them on first read; a system
+    made from Polys is flattened into the arrays on its first export."""
 
     dim: Dim
     polys: tuple[Poly, ...]
     symmetry_multiplier: int | None = None
+
+    def __getattr__(self, name: str):
+        # reached only while polys is unset, on a system build_system wrote
+        if name != "polys" or "_terms" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["polys"] = polys = _polys(self.dim.d, *self._terms)
+        return polys
+
+
+def _polys(d: int, counts, lens, flat, coef_row, coeffs) -> tuple[Poly, ...]:
+    """The Polys of a system's term arrays, each term in its array order."""
+    indices, ends = flat.tolist(), np.cumsum(lens).tolist()
+    monos = [tuple(indices[end - n : end]) for end, n in zip(ends, lens.tolist())]
+    values = [coeffs[c] for c in coef_row.tolist()]
+    stops = np.cumsum(counts).tolist()
+    return tuple(Poly(d, dict(zip(monos[a:b], values[a:b]))) for a, b in zip([0, *stops], stops))
+
+
+def _term_arrays(system: PolySystem):
+    """counts, lens, flat, coef_row and coeffs of a system; a system made
+    from Polys is flattened once, on first use."""
+    terms = system.__dict__.get("_terms")
+    if terms is None:
+        maps = [p.monomials for p in system.polys]
+        coeffs = list(chain.from_iterable(m.values() for m in maps))
+        first_use, coef_row = np.unique(
+            np.fromiter(map(id, coeffs), np.intp, len(coeffs)), return_index=True, return_inverse=True
+        )[1:]
+        lens = np.fromiter(map(len, chain.from_iterable(maps)), np.intp, len(coeffs))
+        terms = system.__dict__["_terms"] = (
+            np.fromiter(map(len, maps), np.intp, len(maps)),
+            lens,
+            np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp, int(lens.sum())),
+            coef_row,
+            [coeffs[i] for i in first_use.tolist()],
+        )
+    return terms
 
 
 def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> PolySystem:
@@ -113,6 +167,7 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
     a < b with a + b = 2j mod d have a + b equal to that lag or to the lag
     plus d, so both runs of a are enumerated directly, (d-1)/2 pairs per
     cubic.  Requires odd d; a symmetry multiplier must be coprime to d.
+    The system is written as its term arrays, generator by generator.
     """
     dim = _odd_dim(dim)
     d = dim.d
@@ -123,29 +178,35 @@ def build_system(dim: Dim | int, symmetry_multiplier: int | None = None) -> Poly
             raise ValueError(
                 f"symmetry multiplier must be coprime to d, got m={symmetry_multiplier}"
             )
-    # one Fraction per value, shared by every term that carries it
-    one, minus_one, two = Fraction(1), Fraction(-1), Fraction(2)
-    gens = [Poly(d, {(j, d - j): one, (0,): one}) for j in range(1, (d - 1) // 2 + 1)]
-    gens.append(Poly(d, {(0, 0): one, (0,): Fraction(4), (): Fraction(3 - d)}))
-    for j, lag in enumerate(_x_lags(d).tolist(), start=1):
-        # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2: a + b is the lag
-        # 2j mod d (0 < a < lag/2, b = lag - a) or that lag plus d
-        # (lag < a < (lag+d)/2, b = lag + d - a); the pair (0, lag) is keyed
-        # with x_0 last
-        pairs = chain(
-            [(lag, 0)],
-            zip(range(1, (lag + 1) // 2), range(lag - 1, 0, -1)),
-            zip(range(lag + 1, (lag + d + 1) // 2), range(d - 1, 0, -1)),
-        )
-        cubic = dict.fromkeys(pairs, two)
-        cubic[j, j, 0] = minus_one
-        gens.append(Poly(d, cubic))
-    if m is not None:
-        for j in range(1, d):
-            t = (m * j) % d
-            if t != j:
-                gens.append(Poly(d, {(j,): one, (t,): minus_one}))
-    return PolySystem(dim=dim, polys=tuple(gens), symmetry_multiplier=m)
+    h, js, lags = (d - 1) // 2, np.arange(1, d), _x_lags(d)[:, None]
+    # P_j = 2 sum_{a<b, a+b = 2j} x_a x_b - x_0 x_j^2: pairs k = 0..n have
+    # a + b = lag (a = k, b = lag - k), the rest a + b = lag + d
+    # (a = lag + k - n, b = d - k + n); pair 0 is stored (lag, 0), x_0 last
+    k, n = np.arange(h), (lags + 1) // 2 - 1
+    low = k <= n
+    pairs = np.stack([np.where(low, k, lags + k - n), np.where(low, lags - k, d - k + n)], 2)
+    pairs[:, 0] = pairs[:, 0, ::-1]
+    sym = np.stack([js, js * (m or 1) % d], 1)  # m = 1 (or none) adds no constraint
+    # per group of generators: the indices of each, its term lengths and
+    # coefficient ids into (1, -1, 2, 4, 3 - d); the constant 3 - d is 0 at d = 3
+    q = 2 + (d > 3)
+    groups = [
+        (np.stack([js[:h], d - js[:h], 0 * js[:h]], 1), [2, 1], [0, 0]),
+        (np.zeros((1, 3), np.intp), [2, 1, 0][:q], [0, 3, 4][:q]),
+        (np.concatenate([pairs.reshape(d - 1, 2 * h), js[:, None], js[:, None], 0 * lags], 1),
+         [2] * h + [3], [2] * h + [1]),
+        (sym[sym[:, 0] != sym[:, 1]], [1, 1], [0, 1]),
+    ]
+    terms = (
+        np.concatenate([np.full(len(idx), len(ln)) for idx, ln, _ in groups]),
+        np.concatenate([np.tile(ln, len(idx)) for idx, ln, _ in groups]),
+        np.concatenate([idx.ravel() for idx, _, _ in groups]),
+        np.concatenate([np.tile(ids, len(idx)) for idx, _, ids in groups]),
+        [Fraction(1), Fraction(-1), Fraction(2), Fraction(4), Fraction(3 - d)],
+    )
+    system = object.__new__(PolySystem)
+    system.__dict__.update(dim=dim, symmetry_multiplier=m, _terms=terms)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +230,16 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
     "cas-script" wraps the same lines in a generic ring declaration and a
     lexicographic Gröbner basis request.  Output is byte-stable.
 
-    The whole system is one array program: its monomials are flattened
-    into integer arrays once, the terms of each degree are ordered by one
-    stable sort of byte-comparable keys (generator, then the indices with
-    x0 ranked as d) and a stable sort by generator merges the degrees, and
-    the text is one join of precomputed pieces: the names x<v> with and
-    without a leading "*", the powers ^r, the line ends, and four prefixes
-    per distinct coefficient object (in-line or first, with factors or
-    constant), each formatted once.  Memory follows the size of the
-    system and of its text.  A
-    coefficient whose integers exceed the interpreter's digit limit for
-    integer text raises ValueError naming its generator and term; a
-    variable index outside 0..d-1 raises ValueError naming its generator.
+    The whole system is one array program over its term arrays: the
+    terms of each degree are ordered by one stable sort of byte-comparable
+    keys (generator, then the indices with x0 ranked as d) and a stable
+    sort by generator merges the degrees, and the text is one join of
+    precomputed pieces: the names x<v> with and without a leading "*", the
+    powers ^r, the line ends, and four prefixes per distinct coefficient
+    (in-line or first, with factors or constant), each formatted once.
+    Memory follows the size of the system and of its text.  A coefficient
+    whose integers exceed the interpreter's digit limit for integer text
+    raises ValueError naming its generator and term.
     """
     if format not in ("plain", "cas-script"):
         raise ValueError(f"unknown export format {format!r}")
@@ -201,20 +260,9 @@ def export_system(system: PolySystem, format: str = "plain") -> str:
 
 def _generator_lines(system: PolySystem) -> str:
     """Every generator's line, each ending in a newline."""
-    d, maps = system.dim.d, [p.monomials for p in system.polys]
-    coeffs = list(chain.from_iterable(m.values() for m in maps))
-    first_use, coef_row = np.unique(
-        np.fromiter(map(id, coeffs), np.intp, len(coeffs)), return_index=True, return_inverse=True
-    )[1:]
-    distinct = [coeffs[i] for i in first_use.tolist()]
-    counts = np.fromiter(map(len, maps), np.intp, len(maps))
-    lens = np.fromiter(map(len, chain.from_iterable(maps)), np.intp, len(coeffs))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp, int(lens.sum()))
-    gen = np.repeat(np.arange(len(maps)), counts)
-    if flat.size and not 0 <= flat.min() <= flat.max() < d:
-        e = int(np.flatnonzero((flat < 0) | (flat >= d))[0])
-        g = gen[np.searchsorted(np.cumsum(lens), e, side="right")]
-        raise ValueError(f"generator {g}: variable index {flat[e]} is not in 0..{d - 1}")
+    d = system.dim.d
+    counts, lens, flat, coef_row, distinct = _term_arrays(system)
+    gen = np.repeat(np.arange(len(counts)), counts)
     gen, lens, flat, coef_row = _term_order(d, gen, lens, flat, coef_row)
 
     # pieces of text: x<v>, *x<v>, the empty piece, the two line ends,
@@ -309,6 +357,6 @@ def system_manifest(system: PolySystem, text: str) -> dict:
     return {
         "d": system.dim.d,
         "symmetry_multiplier": system.symmetry_multiplier,
-        "num_generators": len(system.polys),
+        "num_generators": len(_term_arrays(system)[0]),
         "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }

@@ -27,6 +27,7 @@ from helpers import (
 )
 
 from flatsic import (
+    Poly,
     cvec,
     dump_vector,
     gik_residual,
@@ -530,6 +531,19 @@ class TestPolysys:
         assert manifest["d"] == 7
         assert manifest["num_generators"] == 10
         assert manifest["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_export_builds_no_poly(self, capsys, tmp_path, monkeypatch):
+        # the command writes and exports the system's term arrays; a Poly is
+        # built only when a caller reads system.polys
+        calls, post_init, fromiter = [], Poly.__post_init__, np.fromiter
+        monkeypatch.setattr(Poly, "__post_init__", lambda p: calls.append(p) or post_init(p))
+        monkeypatch.setattr(np, "fromiter", lambda *a, **k: calls.append(a) or fromiter(*a, **k))
+        out_path = str(tmp_path / "s103.txt")
+        code, out, _ = run(
+            capsys, "--porcelain", "polysys", "--d", "103", "--symmetry", "5", "--export", out_path
+        )
+        assert (code, calls) == (0, [])
+        assert porcelain_dict(out)["num_generators"] == "256"
 
     def test_stdout_when_no_export(self, capsys):
         code, out, _ = run(capsys, "polysys", "--d", "7")

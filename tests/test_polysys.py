@@ -168,20 +168,59 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="^dimension must be"):
             poly(bad, {})
 
+    @pytest.mark.parametrize("bad", [*NON_INTEGERS, 1.5, "2"])
+    def test_poly_reads_each_exponent_as_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^exponent must be an integer"):
+            poly(3, {(0, bad, 0): 1})
+
+    @pytest.mark.parametrize("index", [7, -1])
+    def test_poly_refuses_a_variable_index_outside_the_dimension(self, index):
+        expected = re.escape(f"monomial (3, {index}) is not ints in 0..6")
+        with pytest.raises(ValueError, match=expected):
+            Poly(7, {(2,): 1, (3, index): 1})
+
+    @pytest.mark.parametrize("mono", [(3, 1), (0, 1), (2, 0, 2), (True,), (1.0,), (9,)])
+    def test_poly_refuses_a_monomial_out_of_the_variable_order(self, mono):
+        # x1 <= ... <= x6 <= x0; the zero coefficient does not excuse it
+        expected = re.escape(f"monomial {mono!r} is not ints in 0..6 in the variable order")
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match=expected):
+                Poly(7, {(1, 3): 1, mono: coeff})
+
     def test_poly_takes_an_integral_d_as_an_int(self):
         for same in (7.0, np.int64(7)):
             p = poly(same, {mono(7, 0): 1})
             assert type(p.d) is int and p == poly(7, {mono(7, 0): 1})
 
-    @pytest.mark.parametrize("d, m", [(3, 2), (5, 2), (7, 3), (19, 4), (45, 7), (67, 29)])
+    @pytest.mark.parametrize(
+        "d, m",
+        [
+            *((d, None) for d in range(3, 62, 2)),
+            (67, None),
+            (3, 2),
+            (5, 2),
+            (7, 3),
+            (9, 2),
+            (15, 2),
+            (21, 2),
+            (39, 2),
+            (45, 7),
+            (67, 29),
+            *((19, m) for m in range(1, 19)),
+        ],
+    )
     def test_matches_fraction_loop(self, d, m):
-        for multiplier in (None, m):
-            got = build_system(d, symmetry_multiplier=multiplier)
-            expect = reference_system(d, multiplier)
-            assert got.symmetry_multiplier == expect.symmetry_multiplier
-            assert [list(p.terms.items()) for p in got.polys] == [
-                list(p.terms.items()) for p in expect.polys
-            ]
+        got, expect = build_system(d, symmetry_multiplier=m), reference_system(d, m)
+        assert got.symmetry_multiplier == expect.symmetry_multiplier
+        assert [list(p.terms.items()) for p in got.polys] == [
+            list(p.terms.items()) for p in expect.polys
+        ]
+        # the term arrays build_system writes and the flattening of Polys
+        # write the same text
+        fresh = build_system(d, m)  # polys never read
+        flattened = PolySystem(dim=got.dim, polys=expect.polys, symmetry_multiplier=m)
+        for fmt in ("plain", "cas-script"):
+            assert export_system(fresh, fmt) == export_system(flattened, fmt)
 
     def test_cubic_pairs_equal_the_scan_over_every_index(self):
         # each cubic enumerates its pairs a < b, a + b = 2j mod d, from the
@@ -373,13 +412,6 @@ class TestExport:
             "task: groebner_basis",
             "order: lexicographic",
         ]
-
-    @pytest.mark.parametrize("index", [7, -1])
-    def test_export_refuses_a_variable_index_outside_the_dimension(self, index):
-        polys = (Poly(7, {(1,): 1}), Poly(7, {(2,): 1, (3, index): 1}))
-        expected = re.escape(f"generator 1: variable index {index} is not in 0..6")
-        with pytest.raises(ValueError, match=expected):
-            export_system(PolySystem(dim=make_dimension(7), polys=polys))
 
     def test_parse_poly_cases(self):
         p = parse_poly("-x3^2*x0 + 2*x1*x5", 7)
